@@ -2,12 +2,14 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"graphpart/internal/gen"
+	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 )
 
@@ -97,5 +99,50 @@ func TestRunChurnMultiPassRepartitions(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "(repartitioned)") {
 		t.Errorf("multi-pass churn should note per-window repartitioning:\n%s", sb.String())
+	}
+}
+
+// TestStreamMatchesMaterialized: -stream at any -workers prints exactly the
+// metric block the materialized path prints for the same graph — RF, total
+// replicas, balance and the per-partition table — and strategies that cannot
+// stream are refused with the reason.
+func TestStreamMatchesMaterialized(t *testing.T) {
+	g := gen.RoadNet("road", 30, 30, 4)
+	input := filepath.Join(t.TempDir(), "road.txt")
+	if err := graph.SaveEdgeList(g, input); err != nil {
+		t.Fatal(err)
+	}
+	grid := partition.MustNew("Grid", partition.Options{})
+	a, err := partition.ParallelPartition(g, grid, 9, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	printMetrics(&want, grid, 9, a, a.EdgeCount, true, "")
+
+	for _, workers := range []int{1, 3} {
+		var out strings.Builder
+		err := streamPartition(&out, grid, streamOptions{Input: input, Parts: 9, Workers: workers, Seed: 1, Batch: 100, Verbose: true})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		header, metrics, _ := strings.Cut(out.String(), "\n")
+		if !strings.Contains(header, "(streamed)") {
+			t.Errorf("workers=%d: header %q does not mark the run as streamed", workers, header)
+		}
+		if metrics != want.String() {
+			t.Errorf("workers=%d: streamed metrics differ from materialized:\n got:\n%s\nwant:\n%s", workers, metrics, want.String())
+		}
+	}
+
+	for name, reason := range map[string]string{
+		"Oblivious": "per-vertex placement state",
+		"Hybrid":    "degree-counting scan",
+	} {
+		s := partition.MustNew(name, partition.Options{HybridThreshold: 30})
+		err := streamPartition(io.Discard, s, streamOptions{Input: input, Parts: 9, Workers: 2, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), reason) {
+			t.Errorf("%s: -stream error %v, want a refusal naming %q", name, err, reason)
+		}
 	}
 }

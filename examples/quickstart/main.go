@@ -50,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, err := partition.Partition(g, s, cc.NumParts(), 1)
+		a, err := partition.ParallelPartition(g, s, cc.NumParts(), 1, 0)
 		if err != nil {
 			// PDS needs p²+p+1 machines; skip it on 9, as the paper does.
 			fmt.Fprintf(w, "%s\t(skipped: %v)\t\t\n", name, err)

@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, err := partition.Partition(g, s, cc.NumParts(), 1)
+		a, err := partition.ParallelPartition(g, s, cc.NumParts(), 1, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,10 +23,14 @@ import (
 //   - IncrementalStrategy may only be implemented alongside
 //     StreamingStrategy: stateless strategies get incrementality for free
 //     via the AsIncremental adapter, and a second explicit path would
-//     shadow it ambiguously.
+//     shadow it ambiguously;
+//   - only a MultiPassStrategy may have a whole-graph Partition method:
+//     stateless and streaming strategies are placed through their
+//     assigners and loaders, and a Partition beside them is a second,
+//     duplicate ingress path.
 var Registry = &Analyzer{
 	Name: "registry",
-	Doc:  "every strategy type registers in its file's init and declares exactly one ingress capability",
+	Doc:  "every strategy type registers in its file's init, declares exactly one ingress capability, and has a whole-graph Partition only if it is multi-pass",
 	Run:  runRegistry,
 }
 
@@ -85,6 +89,11 @@ func runRegistry(pass *Pass) error {
 				pass.Reportf(ts.Pos(),
 					"strategy type %s implements %d ingress capabilities (%s): ingress dispatch needs exactly one",
 					obj.Name(), len(have), strings.Join(have, ", "))
+			}
+			if mp, ok := caps["MultiPassStrategy"]; ok && !implements(T, mp) && hasMethod(T, pass.Pkg, "Partition") {
+				pass.Reportf(ts.Pos(),
+					"strategy type %s has a whole-graph Partition method but is not a MultiPassStrategy: stateless and streaming strategies are placed only through their assigners or loaders",
+					obj.Name())
 			}
 			if inc, ok := caps["IncrementalStrategy"]; ok && implements(T, inc) {
 				if len(have) == 1 && have[0] != "StreamingStrategy" {
@@ -153,6 +162,14 @@ func lookupInterface(scope *types.Scope, name string) *types.Interface {
 	}
 	iface, _ := tn.Type().Underlying().(*types.Interface)
 	return iface
+}
+
+// hasMethod reports whether the method set of T or *T has a method named
+// name, declared or promoted.
+func hasMethod(T types.Type, pkg *types.Package, name string) bool {
+	obj, _, _ := types.LookupFieldOrMethod(T, true, pkg, name)
+	_, ok := obj.(*types.Func)
+	return ok
 }
 
 // implements reports whether T or *T satisfies iface.

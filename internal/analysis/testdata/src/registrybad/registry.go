@@ -1,12 +1,12 @@
 // Package partition (fixture) carries one of each registry violation: an
 // unregistered strategy, a capability-less strategy, a dual-capability
-// strategy, and an incremental stateless strategy.
+// strategy, an incremental stateless strategy, and stateless strategies
+// with a declared or promoted whole-graph Partition.
 package partition
 
 // Strategy is the base contract every partitioning strategy satisfies.
 type Strategy interface {
 	Name() string
-	Partition(numParts int) []int32
 }
 
 // StatelessStrategy assigns each edge independently.
@@ -21,10 +21,12 @@ type StreamingStrategy interface {
 	NewLoader(id int) func(edge int) int32
 }
 
-// MultiPassStrategy revisits the edge list across passes.
+// MultiPassStrategy revisits the edge list across passes; it alone places
+// the whole graph at once.
 type MultiPassStrategy interface {
 	Strategy
 	PassCount() int
+	Partition(numParts int) []int32
 }
 
 // IncrementalStrategy adapts an assignment under edge churn.

@@ -7,7 +7,6 @@ package partition
 // Strategy is the base contract every partitioning strategy satisfies.
 type Strategy interface {
 	Name() string
-	Partition(numParts int) []int32
 }
 
 // StatelessStrategy assigns each edge independently.
@@ -22,10 +21,12 @@ type StreamingStrategy interface {
 	NewLoader(id int) func(edge int) int32
 }
 
-// MultiPassStrategy revisits the edge list across passes.
+// MultiPassStrategy revisits the edge list across passes; it alone places
+// the whole graph at once.
 type MultiPassStrategy interface {
 	Strategy
 	PassCount() int
+	Partition(numParts int) []int32
 }
 
 // IncrementalStrategy adapts an assignment under edge churn; only

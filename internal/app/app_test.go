@@ -14,7 +14,7 @@ import (
 func partitioned(t *testing.T, g *graph.Graph, strategy string, parts int) *partition.Assignment {
 	t.Helper()
 	s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
-	a, err := partition.Partition(g, s, parts, 7)
+	a, err := partition.ParallelPartition(g, s, parts, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

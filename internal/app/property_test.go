@@ -25,7 +25,7 @@ func randomGraphFrom(raw []uint16) *graph.Graph {
 }
 
 func runOn(g *graph.Graph) (*partition.Assignment, error) {
-	return partition.Partition(g, partition.Random{}, 5, 1)
+	return partition.ParallelPartition(g, partition.Random{}, 5, 1, 1)
 }
 
 var propCluster = cluster.Config{Machines: 5, PartsPerMachine: 1}

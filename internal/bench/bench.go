@@ -421,9 +421,8 @@ var (
 
 // assignment partitions a named dataset with a named strategy, caching the
 // result (experiments share many assignments; concurrent callers of the
-// same key block on one computation). It runs the parallel streaming
-// pipeline, which is placement-identical to the sequential path for every
-// strategy.
+// same key block on one computation). It runs ParallelPartition, whose
+// placement does not depend on the worker count.
 func assignment(cfg Config, dataset, strategy string, parts int) (*partition.Assignment, error) {
 	key := asgKey{dataset, cfg.scale(), strategy, parts, cfg.HybridThreshold, cfg.Seed}
 	asgMu.Lock()

@@ -13,7 +13,7 @@ func TestChurnWindowCheaperThanRepartition(t *testing.T) {
 	model := DefaultModel()
 	for _, name := range []string{"2D", "HDRF"} {
 		s := partition.MustNew(name, partition.Options{})
-		a, err := partition.Partition(g, s, cfg.NumParts(), 1)
+		a, err := partition.ParallelPartition(g, s, cfg.NumParts(), 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

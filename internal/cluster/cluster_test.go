@@ -92,7 +92,7 @@ func TestUtilizationEmptyRun(t *testing.T) {
 func ingressAssignment(t *testing.T, strat partition.Strategy, parts int) *partition.Assignment {
 	t.Helper()
 	g := gen.PrefAttach("ingress-test", 3000, 6, 0x77)
-	a, err := partition.Partition(g, strat, parts, 1)
+	a, err := partition.ParallelPartition(g, strat, parts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

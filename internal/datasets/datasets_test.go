@@ -81,7 +81,7 @@ func TestRelativeSizesMatchPaper(t *testing.T) {
 func TestFig5_6ReplicationShape(t *testing.T) {
 	rf := func(g *graph.Graph, strategy string, parts int) float64 {
 		s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
-		a, err := partition.Partition(g, s, parts, 1)
+		a, err := partition.ParallelPartition(g, s, parts, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

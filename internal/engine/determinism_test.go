@@ -97,7 +97,7 @@ func TestParallelEngineDeterminism(t *testing.T) {
 	for gname, g := range graphs {
 		for _, strat := range strategies {
 			s := partition.MustNew(strat, partition.Options{HybridThreshold: 30})
-			a, err := partition.Partition(g, s, 9, 2)
+			a, err := partition.ParallelPartition(g, s, 9, 2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestFixedIterationsIncludesIsolatedVertices(t *testing.T) {
 	g := graph.FromEdges("isolated", []graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 5, Dst: 6},
 	})
-	a, err := partition.Partition(g, partition.Random{}, 9, 1)
+	a, err := partition.ParallelPartition(g, partition.Random{}, 9, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

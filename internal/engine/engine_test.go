@@ -14,7 +14,7 @@ func assignmentFor(t *testing.T, strategy string) *partition.Assignment {
 	t.Helper()
 	g := gen.PrefAttach("engine-test", 3000, 6, 0x5)
 	s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
-	a, err := partition.Partition(g, s, 9, 2)
+	a, err := partition.ParallelPartition(g, s, 9, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ var model = cluster.DefaultModel()
 func gxAssignment(t *testing.T, g *graph.Graph, strategy string, cc cluster.Config) *partition.Assignment {
 	t.Helper()
 	s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
-	a, err := partition.Partition(g, s, cc.NumParts(), 3)
+	a, err := partition.ParallelPartition(g, s, cc.NumParts(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 		{"power-law", gen.PrefAttach("bench-plaw", 100000, 8, 1)},
 	}
 	for _, gr := range graphs {
-		a, err := partition.Partition(gr.g, partition.Random{}, 9, 1)
+		a, err := partition.ParallelPartition(gr.g, partition.Random{}, 9, 1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

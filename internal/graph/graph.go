@@ -9,6 +9,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // VertexID identifies a vertex. The paper's largest graph (UK-web) has 105M
@@ -28,7 +29,9 @@ type Graph struct {
 
 	numVertices int
 
-	// CSR indexes, built lazily by buildCSR.
+	// CSR indexes, built lazily by buildCSR, at most once even when
+	// concurrent readers ask for them first.
+	csrOnce  sync.Once
 	outIndex []int32 // offset into outAdj per vertex (len = numVertices+1)
 	outAdj   []VertexID
 	outEdge  []int32 // edge id parallel to outAdj
@@ -92,9 +95,12 @@ func (g *Graph) buildDegrees() {
 	}
 }
 
-// buildCSR constructs the adjacency indexes. Called lazily by the accessor
-// methods; engines call EnsureCSR once up front.
-func (g *Graph) buildCSR() {
+// buildCSR constructs the adjacency indexes unless a loader already
+// supplied them. Called lazily by the accessor methods; engines call
+// EnsureCSR once up front.
+func (g *Graph) buildCSR() { g.csrOnce.Do(g.buildCSROnce) }
+
+func (g *Graph) buildCSROnce() {
 	if g.outIndex != nil {
 		return
 	}

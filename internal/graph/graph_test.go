@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -65,6 +66,24 @@ func TestNeighbors(t *testing.T) {
 	if len(in) != 2 {
 		t.Fatalf("InNeighbors(2) = %v, want 2 entries", in)
 	}
+}
+
+// TestConcurrentFirstNeighborQueries: a graph is immutable, so readers on
+// several goroutines may be the first to ask for adjacency; the lazy index
+// build must happen once, with no data race (run under -race).
+func TestConcurrentFirstNeighborQueries(t *testing.T) {
+	g := smallGraph()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := g.InNeighbors(2); len(got) != 2 {
+				t.Errorf("InNeighbors(2) = %v, want two neighbors", got)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEdgeIDsParallelToNeighbors(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // the call sites): per-shard summaries merged in ascending shard order
 // equal the sequential replay exactly — and because every Quality field is
 // an integer sum, ANY merge order equals it too. The contract callers keep
-// is nonetheless ascending shard order (see partition.buildParallel and
+// is nonetheless ascending shard order (see partition.newAssignment and
 // the sharded stream builder), so that if a non-commutative field is ever
 // added, the accumulation order is already pinned and this test is what
 // fails first.

@@ -10,8 +10,8 @@ import (
 )
 
 // The conformance suite is the registration gate for strategies: one
-// table-driven property set executed against EVERY registered strategy on a
-// power-law and a road graph. A strategy that registers but violates any of
+// table-driven property set executed against EVERY registered strategy on
+// power-law and road graphs. A strategy that registers but violates any of
 // these properties — assignment completeness, summary agreement, parallel
 // and seed determinism, the incremental contract, serialization — fails
 // here by construction, without anyone writing a strategy-specific test.
@@ -50,14 +50,33 @@ var conformanceSuite = []conformanceCase{
 	{"serialize-round-trip", checkSerializeRoundTrip},
 }
 
+// conformanceInputs are the (graph, options) pairs the suite runs on: the
+// single-loader power-law and road graphs, the power-law graph with the
+// default one loader per partition (loader blocks run concurrently), and a
+// 3×3 road graph with fewer vertices than the largest worker count.
+var conformanceInputs = []struct {
+	name  string
+	graph func() *graph.Graph
+	opt   Options
+}{
+	{"test-pa", testGraph, conformanceOptions()},
+	{"test-road", roadGraph, conformanceOptions()},
+	{"test-pa-loaders", testGraph, Options{HybridThreshold: 30}},
+	{"road-3x3", func() *graph.Graph { return gen.RoadNet("road-3x3", 3, 3, 1) }, conformanceOptions()},
+}
+
 func TestConformance(t *testing.T) {
-	for _, g := range []*graph.Graph{testGraph(), roadGraph()} {
+	for _, in := range conformanceInputs {
+		g := in.graph()
 		for _, name := range AllNames() {
-			s := MustNew(name, conformanceOptions())
+			s := MustNew(name, in.opt)
 			numParts := conformanceParts(name)
 			for _, c := range conformanceSuite {
-				g, s, c := g, s, c
-				t.Run(g.Name+"/"+name+"/"+c.name, func(t *testing.T) {
+				if c.name == "incremental-add-only" && in.opt.Loaders != 1 {
+					continue // add-only churn replays one loader, so it matches only a one-loader pass
+				}
+				s, c := s, c
+				t.Run(in.name+"/"+name+"/"+c.name, func(t *testing.T) {
 					t.Parallel()
 					c.run(t, s, g, numParts)
 				})
@@ -70,7 +89,7 @@ func TestConformance(t *testing.T) {
 // per edge, the per-partition counts sum back to the edge count, and the
 // replication factor lands in [1, numParts].
 func checkEveryEdgeOnce(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
-	a, err := Partition(g, s, numParts, 1)
+	a, err := ParallelPartition(g, s, numParts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +118,7 @@ func checkEveryEdgeOnce(t *testing.T, s Strategy, g *graph.Graph, numParts int) 
 // from scratch — per-partition counts, per-vertex replica sets, totals,
 // replication factor and balance.
 func checkSummaryAgreesWithQuality(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
-	a, err := Partition(g, s, numParts, 1)
+	a, err := ParallelPartition(g, s, numParts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,43 +164,126 @@ func checkSummaryAgreesWithQuality(t *testing.T, s Strategy, g *graph.Graph, num
 	}
 }
 
-// checkParallelMatchesSequential: ParallelPartition is byte-identical to
-// the sequential path at every worker count — parallelism changes
-// wall-clock, never placement.
+// checkParallelMatchesSequential: ParallelPartition equals the sequential
+// reference at every worker count — parallelism changes wall-clock, never
+// placement, masters or metrics.
 func checkParallelMatchesSequential(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
-	seq, err := Partition(g, s, numParts, 1)
+	ref, err := sequentialReference(g, s, numParts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 5} {
+	masters := referenceMasters(g, ref, numParts, 1)
+	var first *Assignment
+	for _, workers := range []int{1, 2, 3, 5, 16} {
 		par, err := ParallelPartition(g, s, numParts, 1, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i := range seq.EdgeParts {
-			if seq.EdgeParts[i] != par.EdgeParts[i] {
+		for i := range ref.EdgeParts {
+			if ref.EdgeParts[i] != par.EdgeParts[i] {
 				t.Fatalf("workers=%d: edge %d on %d parallel, %d sequential",
-					workers, i, par.EdgeParts[i], seq.EdgeParts[i])
+					workers, i, par.EdgeParts[i], ref.EdgeParts[i])
 			}
 		}
-		for v := range seq.Masters {
-			if seq.Masters[v] != par.Masters[v] {
+		for v := range masters {
+			if masters[v] != par.Masters[v] {
 				t.Fatalf("workers=%d: vertex %d master %d parallel, %d sequential",
-					workers, v, par.Masters[v], seq.Masters[v])
+					workers, v, par.Masters[v], masters[v])
 			}
+		}
+		if first == nil {
+			first = par
+			continue
+		}
+		for p := range first.EdgeCount {
+			if first.EdgeCount[p] != par.EdgeCount[p] {
+				t.Fatalf("workers=%d: partition %d holds %d edges, %d at one worker",
+					workers, p, par.EdgeCount[p], first.EdgeCount[p])
+			}
+		}
+		if first.ReplicationFactor() != par.ReplicationFactor() || first.TotalReplicas() != par.TotalReplicas() {
+			t.Fatalf("workers=%d: rf=%v replicas=%d, one worker has rf=%v replicas=%d", workers,
+				par.ReplicationFactor(), par.TotalReplicas(), first.ReplicationFactor(), first.TotalReplicas())
 		}
 	}
+}
+
+// sequentialReference is the placement the parallel paths are checked
+// against, computed one edge at a time: one assigner over the whole edge
+// list (and the hints per vertex) for a stateless strategy, the loader
+// blocks one after another for a streaming strategy, and the strategy's own
+// Partition for a multi-pass one.
+func sequentialReference(g *graph.Graph, s Strategy, numParts int, seed uint64) (*Result, error) {
+	parts := make([]int32, g.NumEdges())
+	switch c := s.(type) {
+	case StatelessStrategy:
+		asg, err := c.NewAssigner(numParts, seed)
+		if err != nil {
+			return nil, err
+		}
+		for i, e := range g.Edges {
+			parts[i] = asg.Assign(e)
+		}
+		h, ok := asg.(MasterHinter)
+		if !ok {
+			return &Result{EdgeParts: parts}, nil
+		}
+		hint := make([]int32, g.NumVertices())
+		for v := range hint {
+			hint[v] = h.MasterHint(graph.VertexID(v))
+		}
+		return &Result{EdgeParts: parts, MasterHint: hint}, nil
+	case StreamingStrategy:
+		nl := max(c.Loaders(numParts), 1)
+		for id := 0; id < nl; id++ {
+			lo, hi := loaderBlock(len(parts), nl, id)
+			if lo >= hi {
+				continue
+			}
+			ld := c.NewLoader(g.NumVertices(), numParts, id, seed)
+			for i := lo; i < hi; i++ {
+				parts[i] = ld.Assign(g.Edges[i])
+			}
+		}
+		return &Result{EdgeParts: parts}, nil
+	case MultiPassStrategy:
+		return c.Partition(g, numParts, seed)
+	}
+	return nil, noCapability(s)
+}
+
+// referenceMasters replays a placement into replica sets one edge at a time
+// and picks each vertex's master by the documented rule.
+func referenceMasters(g *graph.Graph, res *Result, numParts int, seed uint64) []int32 {
+	n := g.NumVertices()
+	reps := newBitMatrix(n, numParts)
+	for i, e := range g.Edges {
+		reps.set(int(e.Src), int(res.EdgeParts[i]))
+		reps.set(int(e.Dst), int(res.EdgeParts[i]))
+	}
+	masters := make([]int32, n)
+	for v := range masters {
+		hint := int32(-1)
+		if len(res.MasterHint) == n {
+			hint = res.MasterHint[v]
+		}
+		masters[v] = -1
+		if c := reps.count(v); c > 0 {
+			masters[v] = chooseMaster(reps, v, c, hint, numParts, seed)
+		}
+	}
+	return masters
 }
 
 // checkSeedDeterministic: identical (graph, numParts, seed) runs produce
 // byte-identical placements and masters.
 func checkSeedDeterministic(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
 	for _, seed := range []uint64{1, 42} {
-		a1, err := Partition(g, s, numParts, seed)
+		a1, err := ParallelPartition(g, s, numParts, seed, 1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		a2, err := Partition(g, s, numParts, seed)
+		a2, err := ParallelPartition(g, s, numParts, seed, 1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -222,7 +324,7 @@ func checkIncrementalAddOnly(t *testing.T, s Strategy, g *graph.Graph, numParts 
 		t.Fatal(err)
 	}
 	applyTrace(t, st, g, gen.ChurnConfig{Windows: 5, DelFrac: 0, Seed: 7})
-	a, err := Partition(g, s, numParts, 1)
+	a, err := ParallelPartition(g, s, numParts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +334,7 @@ func checkIncrementalAddOnly(t *testing.T, s Strategy, g *graph.Graph, numParts 
 // checkSerializeRoundTrip: Encode → ReadAssignment preserves placements,
 // masters and the derived metrics exactly.
 func checkSerializeRoundTrip(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
-	a, err := Partition(g, s, numParts, 1)
+	a, err := ParallelPartition(g, s, numParts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +368,10 @@ func checkSerializeRoundTrip(t *testing.T, s Strategy, g *graph.Graph, numParts 
 
 // FuzzConformance drives random small edge lists through random registered
 // strategies, asserting the conformance invariants never panic: whatever
-// the input, a successful Partition assigns every edge exactly once to an
-// in-range partition, keeps RF in [1, numParts], and is deterministic for
-// its seed. Partition-count rejections (Grid's perfect square, PDS's
-// p²+p+1) are valid outcomes, not failures. The seed corpus replays the
+// the input, a successful ParallelPartition assigns every edge exactly once
+// to an in-range partition, keeps RF in [1, numParts], and is deterministic
+// for its seed at any worker count. Partition-count rejections (Grid's
+// perfect square, PDS's p²+p+1) are valid outcomes, not failures. The seed corpus replays the
 // corruption-matrix seed graph's shapes — hubs, duplicate edges, a self
 // loop, isolated ids — for every strategy family.
 func FuzzConformance(f *testing.F) {
@@ -292,7 +394,7 @@ func FuzzConformance(f *testing.F) {
 		name := names[int(stratIdx)%len(names)]
 		s := MustNew(name, Options{HybridThreshold: 4, Loaders: 1})
 		numParts := int(parts)%13 + 1
-		a, err := Partition(g, s, numParts, seed)
+		a, err := ParallelPartition(g, s, numParts, seed, 1)
 		if err != nil {
 			return // partition-count rejection: a documented, non-panicking outcome
 		}
@@ -319,7 +421,7 @@ func FuzzConformance(f *testing.F) {
 				t.Fatalf("%s: replication factor %v out of range [1,%d]", name, rf, numParts)
 			}
 		}
-		again, err := Partition(g, s, numParts, seed)
+		again, err := ParallelPartition(g, s, numParts, seed, 3)
 		if err != nil {
 			t.Fatalf("%s: second run errored: %v", name, err)
 		}

@@ -8,15 +8,20 @@ import (
 	"graphpart/internal/graph"
 )
 
+// TestStreamBuilderFeedAfterFinish pins the sequential one-worker stream
+// builder: a late Feed is refused and Finish keeps returning the same summary.
 func TestStreamBuilderFeedAfterFinish(t *testing.T) {
-	b, err := NewStreamBuilder(Random{}, 4, 1)
+	b, err := NewShardedStreamBuilder(Random{}, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Feed(EdgeBatch{Edges: []graph.Edge{{Src: 0, Dst: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	sum := b.Finish()
+	sum, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.NumEdges != 1 {
 		t.Fatalf("summary has %d edges, want 1", sum.NumEdges)
 	}
@@ -25,8 +30,8 @@ func TestStreamBuilderFeedAfterFinish(t *testing.T) {
 		t.Fatalf("Feed after Finish: got %v, want ErrFeedAfterFinish", err)
 	}
 	// Finish is idempotent and the late Feed must not have leaked in.
-	if again := b.Finish(); again != sum || again.NumEdges != 1 {
-		t.Fatalf("second Finish returned a different summary (%d edges)", again.NumEdges)
+	if again, err := b.Finish(); err != nil || again != sum || again.NumEdges != 1 {
+		t.Fatalf("second Finish returned a different summary (%v)", err)
 	}
 }
 
@@ -56,9 +61,14 @@ func TestShardedRejectsNonStateless(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "StreamingStrategy") {
 		t.Fatalf("HDRF: got %v, want error naming StreamingStrategy", err)
 	}
-	_, err = NewShardedStreamBuilder(MustNew("Hybrid", Options{HybridThreshold: 30}), 4, 2, 1)
-	if err == nil || !strings.Contains(err.Error(), "MultiPassStrategy") {
-		t.Fatalf("Hybrid: got %v, want error naming MultiPassStrategy", err)
+	hybrid := MustNew("Hybrid", Options{HybridThreshold: 30})
+	_, _, why := hybrid.(MultiPassStrategy).MultiPass()
+	_, err = NewShardedStreamBuilder(hybrid, 4, 2, 1)
+	if err == nil || !strings.Contains(err.Error(), "MultiPassStrategy") || !strings.Contains(err.Error(), why) {
+		t.Fatalf("Hybrid: got %v, want error naming MultiPassStrategy and its reason %q", err, why)
+	}
+	if _, err := NewShardedStreamBuilder(noCapStrategy{}, 4, 2, 1); !errors.Is(err, ErrNoIngressCapability) {
+		t.Fatalf("capability-less strategy: got %v, want ErrNoIngressCapability", err)
 	}
 	if _, err := NewShardedStreamBuilder(MustNew("Grid", Options{}), 9, 2, 1); err != nil {
 		t.Fatalf("stateless strategy rejected: %v", err)

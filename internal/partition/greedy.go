@@ -153,12 +153,6 @@ type Oblivious struct {
 // Name implements Strategy.
 func (Oblivious) Name() string { return "Oblivious" }
 
-// Passes implements Strategy.
-func (Oblivious) Passes() int { return 1 }
-
-// Heuristic implements HeuristicStrategy.
-func (Oblivious) Heuristic() bool { return true }
-
 // Loaders implements StreamingStrategy.
 func (o Oblivious) Loaders(numParts int) int { return loadersOrDefault(o.NumLoaders, numParts) }
 
@@ -169,11 +163,6 @@ func (o Oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Loader 
 		numParts: numParts,
 		cands:    make([]int, 0, numParts),
 	}
-}
-
-// Partition implements Strategy.
-func (o Oblivious) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return streamingPartition(o, g, numParts, seed)
 }
 
 // NewIncremental implements IncrementalStrategy: one persistent loader
@@ -204,12 +193,6 @@ type HDRF struct {
 // Name implements Strategy.
 func (HDRF) Name() string { return "HDRF" }
 
-// Passes implements Strategy.
-func (HDRF) Passes() int { return 1 }
-
-// Heuristic implements HeuristicStrategy.
-func (HDRF) Heuristic() bool { return true }
-
 // Loaders implements StreamingStrategy.
 func (h HDRF) Loaders(numParts int) int { return loadersOrDefault(h.NumLoaders, numParts) }
 
@@ -225,11 +208,6 @@ func (h HDRF) NewLoader(numVertices, numParts, id int, seed uint64) Loader {
 		hdrf:     true,
 		lambda:   lambda,
 	}
-}
-
-// Partition implements Strategy.
-func (h HDRF) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return streamingPartition(h, g, numParts, seed)
 }
 
 // NewIncremental implements IncrementalStrategy: one persistent loader

@@ -23,9 +23,6 @@ type Grid struct{}
 // Name implements Strategy.
 func (Grid) Name() string { return "Grid" }
 
-// Passes implements Strategy.
-func (Grid) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (Grid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	side := ceilSqrt(numParts)
@@ -33,11 +30,6 @@ func (Grid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 		return nil, fmt.Errorf("grid: numParts=%d is not a perfect square", numParts)
 	}
 	return gridAssigner{gridParts: numParts, side: side, mod: numParts, seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s Grid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 // ResilientGrid is the thesis's non-square-tolerant Grid (§9.1): the grid
@@ -49,18 +41,10 @@ type ResilientGrid struct{}
 // Name implements Strategy.
 func (ResilientGrid) Name() string { return "ResilientGrid" }
 
-// Passes implements Strategy.
-func (ResilientGrid) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (ResilientGrid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	side := ceilSqrt(numParts)
 	return gridAssigner{gridParts: side * side, side: side, mod: numParts, seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s ResilientGrid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 // gridAssigner places each edge on a deterministic member of S(u)∩S(v) for

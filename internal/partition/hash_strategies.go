@@ -22,17 +22,9 @@ type Random struct{}
 // Name implements Strategy.
 func (Random) Name() string { return "Random" }
 
-// Passes implements Strategy.
-func (Random) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (Random) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	return randomAssigner{parts: uint64(numParts), seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s Random) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 type randomAssigner struct {
@@ -60,17 +52,9 @@ type AsymRandom struct{}
 // Name implements Strategy.
 func (AsymRandom) Name() string { return "AsymRandom" }
 
-// Passes implements Strategy.
-func (AsymRandom) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (AsymRandom) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	return asymAssigner{parts: uint64(numParts), seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s AsymRandom) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 type asymAssigner struct {
@@ -89,17 +73,9 @@ type OneD struct{}
 // Name implements Strategy.
 func (OneD) Name() string { return "1D" }
 
-// Passes implements Strategy.
-func (OneD) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (OneD) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	return oneDAssigner{parts: uint64(numParts), seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s OneD) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 type oneDAssigner struct {
@@ -122,17 +98,9 @@ type OneDTarget struct{}
 // Name implements Strategy.
 func (OneDTarget) Name() string { return "1D-Target" }
 
-// Passes implements Strategy.
-func (OneDTarget) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (OneDTarget) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	return oneDTargetAssigner{parts: uint64(numParts), seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s OneDTarget) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 type oneDTargetAssigner struct {
@@ -159,17 +127,9 @@ type TwoD struct{}
 // Name implements Strategy.
 func (TwoD) Name() string { return "2D" }
 
-// Passes implements Strategy.
-func (TwoD) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (TwoD) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	return twoDAssigner{parts: uint64(numParts), side: uint64(ceilSqrt(numParts)), seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s TwoD) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 type twoDAssigner struct {

@@ -30,10 +30,6 @@ type Hybrid struct {
 // Name implements Strategy.
 func (Hybrid) Name() string { return "Hybrid" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (h Hybrid) Passes() int { p, _, _ := h.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy: hybrid-cut must know every
 // destination's in-degree before it can place that destination's edges, so
 // a degree-discovery scan precedes the placement scan and single-pass
@@ -49,7 +45,7 @@ func (h Hybrid) threshold() int {
 	return h.Threshold
 }
 
-// Partition implements Strategy.
+// Partition implements MultiPassStrategy.
 func (h Hybrid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	res, _ := h.partition(g, numParts, seed)
 	return res, nil
@@ -102,10 +98,6 @@ type HybridGinger struct {
 // Name implements Strategy.
 func (HybridGinger) Name() string { return "H-Ginger" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (hg HybridGinger) Passes() int { p, _, _ := hg.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy. All three passes pay greedy
 // O(numParts) scoring in the ingress model: the degree pass, the placement
 // pass, and the Fennel-style refinement sweep, which additionally walks
@@ -115,10 +107,7 @@ func (HybridGinger) MultiPass() (passes, heuristicPasses int, why string) {
 	return 3, 3, "hybrid's degree-counting scan plus a Fennel-style refinement sweep over vertex homes (§6.2.2)"
 }
 
-// Heuristic implements HeuristicStrategy.
-func (HybridGinger) Heuristic() bool { return true }
-
-// Partition implements Strategy.
+// Partition implements MultiPassStrategy.
 func (hg HybridGinger) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	res, high := Hybrid{Threshold: hg.Threshold}.partition(g, numParts, seed)
 	n := g.NumVertices()

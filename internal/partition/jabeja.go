@@ -49,21 +49,12 @@ type SwapStats struct {
 // Name implements Strategy.
 func (JaBeJaSwap) Name() string { return "JaBeJaSwap" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (jb JaBeJaSwap) Passes() int { p, _, _ := jb.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy: the base assignment must be
 // complete before any swap can be evaluated, and every refinement round is
 // another full scan of the edge list.
 func (jb JaBeJaSwap) MultiPass() (passes, heuristicPasses int, why string) {
-	base := jb.base()
-	bp := base.Passes()
-	bh := 0
-	if IsHeuristic(base) {
-		bh = bp
-	}
-	return bp + jb.rounds(), bh, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"
+	bs := ShapeOf(jb.base(), 1) // the pass counts do not depend on numParts
+	return bs.Passes + jb.rounds(), bs.HeuristicPasses, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"
 }
 
 func (jb JaBeJaSwap) base() Strategy {
@@ -80,7 +71,7 @@ func (jb JaBeJaSwap) rounds() int {
 	return jb.Rounds
 }
 
-// Partition implements Strategy.
+// Partition implements MultiPassStrategy.
 func (jb JaBeJaSwap) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	res, _, err := jb.PartitionStats(g, numParts, seed)
 	return res, err
@@ -92,16 +83,12 @@ func (jb JaBeJaSwap) Partition(g *graph.Graph, numParts int, seed uint64) (*Resu
 func (jb JaBeJaSwap) PartitionStats(g *graph.Graph, numParts int, seed uint64) (*Result, SwapStats, error) {
 	stats := SwapStats{Rounds: jb.rounds()}
 	base := jb.base()
-	res, err := base.Partition(g, numParts, seed)
+	res, err := assign(g, base, numParts, seed, 1)
 	if err != nil {
 		return nil, stats, err
 	}
 	n := g.NumVertices()
 	m := g.NumEdges()
-	if len(res.EdgeParts) != m {
-		return nil, stats, fmt.Errorf("partition: base strategy %s returned %d assignments for %d edges",
-			base.Name(), len(res.EdgeParts), m)
-	}
 	parts := res.EdgeParts
 
 	// Per-(vertex, partition) incidence counts: the number of live edges of

@@ -29,10 +29,6 @@ type Multilevel struct {
 // Name implements Strategy.
 func (Multilevel) Name() string { return "Multilevel" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (ml Multilevel) Passes() int { p, _, _ := ml.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy: coarsening, initial partitioning
 // and projection all need the whole (successively contracted) edge list
 // resident; only the refinement sweeps pay O(numParts) work per vertex.
@@ -54,7 +50,7 @@ type mlLevel struct {
 	vw    []int64 // original vertices folded into each coarse vertex
 }
 
-// Partition implements Strategy.
+// Partition implements MultiPassStrategy.
 func (ml Multilevel) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	n := g.NumVertices()
 	labels := ml.vertexLabels(g, numParts)

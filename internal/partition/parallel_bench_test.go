@@ -15,15 +15,15 @@ var bench1M = sync.OnceValue(func() *graph.Graph {
 })
 
 // BenchmarkStatelessIngress1M measures stateless-strategy ingress plus
-// assignment materialization on a 1M-edge graph: the sequential reference
-// against the capability-dispatched parallel pipeline. The acceptance bar
+// assignment materialization on a 1M-edge graph: ParallelPartition at one
+// worker (the sequential case) against GOMAXPROCS workers. The acceptance bar
 // for the streaming refactor is ≥2x wall-clock at GOMAXPROCS ≥ 4.
 func BenchmarkStatelessIngress1M(b *testing.B) {
 	g := bench1M()
 	for _, s := range []Strategy{Random{}, TwoD{}, Grid{}} {
 		b.Run(s.Name()+"/sequential", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Partition(g, s, 9, 1); err != nil {
+				if _, err := ParallelPartition(g, s, 9, 1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -45,7 +45,7 @@ func BenchmarkStreamingIngress1M(b *testing.B) {
 	for _, s := range []Strategy{Oblivious{}, HDRF{}} {
 		b.Run(s.Name()+"/sequential", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Partition(g, s, 9, 1); err != nil {
+				if _, err := ParallelPartition(g, s, 9, 1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -61,11 +61,12 @@ func BenchmarkStreamingIngress1M(b *testing.B) {
 }
 
 // BenchmarkStreamBuilder1M measures the memory-bounded batch ingress path
-// (assign + replica bookkeeping, no edge list retained).
+// in its sequential one-worker case (assign + replica bookkeeping, no edge
+// list retained).
 func BenchmarkStreamBuilder1M(b *testing.B) {
 	g := bench1M()
 	for i := 0; i < b.N; i++ {
-		sb, err := NewStreamBuilder(Random{}, 9, 1)
+		sb, err := NewShardedStreamBuilder(Random{}, 9, 1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,6 +80,8 @@ func BenchmarkStreamBuilder1M(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		sb.Finish()
+		if _, err := sb.Finish(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package partition
 
 import (
-	"runtime"
+	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -18,149 +20,78 @@ func partsFor(name string) int {
 	return 9
 }
 
-// TestParallelMatchesSequential asserts, for every registered strategy and
-// several worker counts, that the streaming/parallel pipeline's Assignment
-// is byte-identical to the sequential path: same EdgeParts, same Masters,
-// same replication factor, same per-partition loads.
-func TestParallelMatchesSequential(t *testing.T) {
-	g := gen.PrefAttach("par", 4000, 6, 0x61)
-	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	for _, name := range AllNames() {
-		s := MustNew(name, Options{HybridThreshold: 30})
-		parts := partsFor(name)
-		seq, err := Partition(g, s, parts, 5)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, workers := range workerCounts {
-			par, err := ParallelPartition(g, s, parts, 5, workers)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, workers, err)
-			}
-			for i := range seq.EdgeParts {
-				if seq.EdgeParts[i] != par.EdgeParts[i] {
-					t.Fatalf("%s/%d workers: edge %d differs (%d vs %d)",
-						name, workers, i, seq.EdgeParts[i], par.EdgeParts[i])
-				}
-			}
-			if seq.ReplicationFactor() != par.ReplicationFactor() {
-				t.Fatalf("%s/%d workers: RF differs (%v vs %v)",
-					name, workers, seq.ReplicationFactor(), par.ReplicationFactor())
-			}
-			for v := range seq.Masters {
-				if seq.Masters[v] != par.Masters[v] {
-					t.Fatalf("%s/%d workers: master of %d differs (%d vs %d)",
-						name, workers, v, seq.Masters[v], par.Masters[v])
-				}
-			}
-			for p := range seq.EdgeCount {
-				if seq.EdgeCount[p] != par.EdgeCount[p] {
-					t.Fatalf("%s/%d workers: partition %d load differs", name, workers, p)
-				}
-			}
-		}
-	}
-}
-
-// counting wrappers: forward a strategy's capabilities while counting how
-// often its full-graph Partition runs.
-
-type countingStrategy struct {
-	Strategy
+// countingMultiPass forwards a multi-pass strategy while counting how often
+// its whole-graph Partition runs.
+type countingMultiPass struct {
+	MultiPassStrategy
 	calls *int32
 }
 
-func (c countingStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+func (c countingMultiPass) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	atomic.AddInt32(c.calls, 1)
-	return c.Strategy.Partition(g, numParts, seed)
-}
-
-type countingStateless struct{ countingStrategy }
-
-func (c countingStateless) NewAssigner(numParts int, seed uint64) (Assigner, error) {
-	return c.Strategy.(StatelessStrategy).NewAssigner(numParts, seed)
-}
-
-type countingStreaming struct{ countingStrategy }
-
-func (c countingStreaming) Loaders(numParts int) int {
-	return c.Strategy.(StreamingStrategy).Loaders(numParts)
-}
-
-func (c countingStreaming) NewLoader(numVertices, numParts, id int, seed uint64) Loader {
-	return c.Strategy.(StreamingStrategy).NewLoader(numVertices, numParts, id, seed)
+	return c.MultiPassStrategy.Partition(g, numParts, seed)
 }
 
 // TestParallelNeverPartitionsTwice is the regression test for the old
 // hintOnce fallback, which re-ran a full sequential partition inside the
 // parallel path to recover master hints. One ParallelPartition call must
-// run the strategy's full-graph Partition at most once — and not at all for
-// stateless/streaming strategies, whose assigners and loaders replace it.
+// run a multi-pass strategy's whole-graph Partition exactly once.
 func TestParallelNeverPartitionsTwice(t *testing.T) {
 	g := gen.PrefAttach("par-count", 2000, 5, 0x13)
 	for _, name := range AllNames() {
-		inner := MustNew(name, Options{HybridThreshold: 30})
+		mp, ok := MustNew(name, Options{HybridThreshold: 30}).(MultiPassStrategy)
+		if !ok {
+			continue
+		}
 		var calls int32
-		wrapped := countingStrategy{Strategy: inner, calls: &calls}
-		var s Strategy
-		var wantCalls int32
-		switch inner.(type) {
-		case StatelessStrategy:
-			s, wantCalls = countingStateless{wrapped}, 0
-		case StreamingStrategy:
-			s, wantCalls = countingStreaming{wrapped}, 0
-		default:
-			s, wantCalls = wrapped, 1
-		}
-		if _, err := ParallelPartition(g, s, partsFor(name), 5, 4); err != nil {
+		if _, err := ParallelPartition(g, countingMultiPass{mp, &calls}, partsFor(name), 5, 4); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := atomic.LoadInt32(&calls); got != wantCalls {
-			t.Errorf("%s: full-graph Partition ran %d times in one ParallelPartition call, want %d",
-				name, got, wantCalls)
+		if got := atomic.LoadInt32(&calls); got != 1 {
+			t.Errorf("%s: whole-graph Partition ran %d times in one ParallelPartition call, want 1", name, got)
 		}
 	}
 }
 
-func TestParallelTinyGraph(t *testing.T) {
-	g := gen.RoadNet("par-tiny", 3, 3, 1)
-	for _, name := range []string{"Random", "Oblivious", "Hybrid"} {
-		s := MustNew(name, Options{HybridThreshold: 30})
-		seq, err := Partition(g, s, 4, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		par, err := ParallelPartition(g, s, 4, 1, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range seq.EdgeParts {
-			if seq.EdgeParts[i] != par.EdgeParts[i] {
-				t.Fatalf("%s: edge %d differs on tiny graph", name, i)
-			}
-		}
-	}
-}
-
-// TestParallelRejectsBadAssignments asserts the sharded builder validates
-// partition ids like the serial one.
+// TestParallelRejectsBadAssignments asserts the builder validates partition
+// ids at every worker count and reports the lowest invalid edge index, even
+// when the invalid edges fall into different workers' vertex ranges.
 func TestParallelRejectsBadAssignments(t *testing.T) {
 	g := gen.RoadNet("par-bad", 5, 5, 1)
-	var calls int32
-	bad := countingStrategy{Strategy: badStrategy{}, calls: &calls}
-	if _, err := ParallelPartition(g, bad, 4, 1, 4); err == nil {
-		t.Fatal("out-of-range assignment accepted by parallel builder")
+	m := g.NumEdges()
+	bad := badStrategy{m - 1: 9, m / 2: -1, m / 3: 4}
+	want := fmt.Sprintf("placed edge %d on partition 4", m/3)
+	for _, workers := range []int{1, 2, 3, 16} {
+		_, err := ParallelPartition(g, bad, 4, 1, workers)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("workers=%d: got %v, want an error naming %q", workers, err, want)
+		}
 	}
 }
 
-type badStrategy struct{}
+// TestParallelRejectsCapabilityless: a strategy with no ingress capability,
+// or none at all, is an error wrapping ErrNoIngressCapability, never a panic.
+func TestParallelRejectsCapabilityless(t *testing.T) {
+	g := gen.RoadNet("par-nocap", 3, 3, 1)
+	for _, s := range []Strategy{noCapStrategy{}, nil} {
+		if _, err := ParallelPartition(g, s, 4, 1, 2); !errors.Is(err, ErrNoIngressCapability) {
+			t.Errorf("%T: got %v, want ErrNoIngressCapability", s, err)
+		}
+	}
+}
+
+// badStrategy is a multi-pass strategy placing every edge on partition 0
+// except the listed edge indices, which go where the map says.
+type badStrategy map[int]int32
 
 func (badStrategy) Name() string { return "Bad" }
-func (badStrategy) Passes() int  { return 1 }
-func (badStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+func (badStrategy) MultiPass() (passes, heuristicPasses int, why string) {
+	return 1, 0, "test fixture"
+}
+func (b badStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	parts := make([]int32, g.NumEdges())
-	for i := range parts {
-		parts[i] = int32(numParts) // every edge out of range
+	for i, p := range b {
+		parts[i] = p
 	}
 	return &Result{EdgeParts: parts}, nil
 }

@@ -8,7 +8,7 @@
 // # Ingress capabilities
 //
 // Strategies are dispatched by capability, never by name. Beyond the base
-// Strategy interface, a strategy may implement:
+// Strategy interface (a name), a strategy implements exactly one of:
 //
 //   - StatelessStrategy: placement is a pure per-edge function (the hash
 //     family: Random, CanonicalRandom, AsymRandom, 1D, 1D-Target, 2D, Grid,
@@ -18,22 +18,28 @@
 //   - StreamingStrategy: single-pass greedy ingress over independent
 //     per-loader state (Oblivious, HDRF), matching the paper's
 //     one-loader-per-machine semantics (§5.2.2). Loader blocks run
-//     concurrently and the result is identical to the sequential pass.
+//     concurrently and the result does not depend on the worker count.
 //   - MultiPassStrategy: cannot stream in one bounded-memory pass (Hybrid,
-//     H-Ginger); declares its pass structure and the reason.
+//     H-Ginger, HEP, JaBeJaSwap, Multilevel); declares its pass structure
+//     and the reason, and is the only capability with a whole-graph
+//     Partition method.
 //
 // ShapeOf folds these into an IngressShape for schedulers and cost models.
 // New strategies self-register via Register from an init function; no
 // central construction switch exists.
 //
-// Ingress runs either materialized — Partition / ParallelPartition produce
-// an Assignment over an in-memory graph — or streamed: a StreamBuilder
-// consumes EdgeBatch chunks for a stateless strategy in O(|V|·P/8) memory
-// without ever holding the edge list.
+// Ingress has one materialized path and one streamed path.
+// ParallelPartition produces an Assignment over an in-memory graph; one
+// worker is its sequential case. A ShardedStreamBuilder consumes EdgeBatch
+// chunks for a stateless strategy in O(workers·|V|·P/8) memory without
+// ever holding the edge list; one worker is its sequential case.
+// PartitionState maintains an assignment under churn on top of both.
 package partition
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"graphpart/internal/graph"
 	"graphpart/internal/metrics"
@@ -48,27 +54,13 @@ type Result struct {
 	MasterHint []int32 // optional; len 0 or NumVertices
 }
 
-// Strategy assigns every edge of a graph to one of numParts partitions.
-// Implementations must be deterministic for a given seed.
+// Strategy is a named partitioning strategy. What it can do at ingress is
+// declared by exactly one capability interface (StatelessStrategy,
+// StreamingStrategy or MultiPassStrategy); Register rejects a strategy
+// with none. Implementations must be deterministic for a given seed.
 type Strategy interface {
 	// Name returns the strategy's display name as used in the paper.
 	Name() string
-	// Passes returns how many passes over the edge list the strategy
-	// makes during ingress (1 for all streaming strategies; 2 for Hybrid;
-	// 3 for Hybrid-Ginger). The ingress-time and memory models use this.
-	Passes() int
-	// Partition assigns edges to partitions.
-	Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error)
-}
-
-// HeuristicStrategy is implemented by the greedy strategies (Oblivious,
-// HDRF, Hybrid-Ginger) whose per-edge ingress cost scales with the number
-// of candidate partitions examined. The ingress model distinguishes these
-// from O(1) hash-based strategies.
-type HeuristicStrategy interface {
-	Strategy
-	// Heuristic reports that per-edge assignment work is O(numParts).
-	Heuristic() bool
 }
 
 // Assignment is a fully-materialized vertex-cut partitioning of a graph:
@@ -94,31 +86,24 @@ type Assignment struct {
 	q *metrics.Quality
 }
 
-// Partition runs a strategy against a graph and materializes the result
-// sequentially. ParallelPartition is the multi-worker equivalent; both
-// produce identical assignments.
-func Partition(g *graph.Graph, s Strategy, numParts int, seed uint64) (*Assignment, error) {
-	if numParts < 1 {
-		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
-	}
-	res, err := s.Partition(g, numParts, seed)
-	if err != nil {
-		return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
-	}
-	if len(res.EdgeParts) != g.NumEdges() {
-		return nil, fmt.Errorf("partition: strategy %s returned %d assignments for %d edges",
-			s.Name(), len(res.EdgeParts), g.NumEdges())
-	}
-	return newAssignment(g, s.Name(), s.Passes(), numParts, seed, res, 1)
-}
-
-// newAssignment materializes a strategy result into an Assignment using the
-// given number of workers (≤1 means serial). Worker count never changes the
-// result, only wall-clock. The strategy is identified by name and pass
-// count rather than interface so deserialized assignments (whose strategy
-// no longer exists as code) rebuild through the same validated path.
+// newAssignment materializes a strategy result into an Assignment with up
+// to `workers` workers (≥1). Worker count never changes the result, only
+// wall-clock. The strategy is identified by name and pass count rather than
+// interface so deserialized assignments (whose strategy no longer exists as
+// code) rebuild through the same validated builder.
+//
+// Phase 1 fills the edge counts and the replica/in/out bit-matrices,
+// sharded by vertex range: each worker scans the whole edge list but only
+// touches rows in its own range, so workers write disjoint rows and need no
+// locks. The worker owning e.Src counts the edge, so every edge is counted
+// exactly once. The scan is redundant (O(workers·m) reads), so the fan-out
+// is capped: past a handful of workers the extra sequential reads cost more
+// memory bandwidth than the divided random-access bit-sets save. Phase 2
+// picks masters and accumulates replica counts, sharded by vertex range
+// into private quality summaries whose merge is a sum.
 func newAssignment(g *graph.Graph, name string, passes, numParts int, seed uint64, res *Result, workers int) (*Assignment, error) {
 	n := g.NumVertices()
+	m := g.NumEdges()
 	a := &Assignment{
 		G:            g,
 		NumParts:     numParts,
@@ -131,23 +116,53 @@ func newAssignment(g *graph.Graph, name string, passes, numParts int, seed uint6
 		outEdgeParts: newBitMatrix(n, numParts),
 	}
 	a.EdgeCount = a.q.EdgeCounts()
-	if workers > 1 {
-		if err := a.buildParallel(res, seed, workers); err != nil {
-			return nil, err
-		}
-		return a, nil
+
+	mw := min(workers, 8)
+	counts := make([][]int64, mw)
+	bad := make([]int, mw) // first invalid edge index each worker met, m = none
+	var wg sync.WaitGroup
+	for w := 0; w < mw; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			local := make([]int64, numParts)
+			counts[w], bad[w] = local, m
+			// v is in this worker's rows iff v-vlo < span (unsigned).
+			vlo := graph.VertexID(n * w / mw)
+			span := graph.VertexID(n*(w+1)/mw) - vlo
+			reps, outs, ins := a.replicas, a.outEdgeParts, a.inEdgeParts
+			parts := res.EdgeParts[:m]
+			for i, e := range g.Edges {
+				// Every worker validates every edge, not only the ones it
+				// owns, so no bit is ever set in a column ≥ numParts.
+				p := parts[i]
+				if p < 0 || int(p) >= numParts {
+					bad[w] = i
+					return
+				}
+				if e.Src-vlo < span {
+					local[p]++
+					reps.set(int(e.Src), int(p))
+					outs.set(int(e.Src), int(p))
+				}
+				if e.Dst-vlo < span {
+					reps.set(int(e.Dst), int(p))
+					ins.set(int(e.Dst), int(p))
+				}
+			}
+		}(w)
 	}
-	for i, e := range g.Edges {
-		p := res.EdgeParts[i]
-		if p < 0 || int(p) >= numParts {
-			return nil, fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
-				a.Strategy, i, p, numParts)
+	wg.Wait()
+	if i := slices.Min(bad); i < m {
+		return nil, fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
+			name, i, res.EdgeParts[i], numParts)
+	}
+	for _, local := range counts {
+		for p, c := range local {
+			if c != 0 {
+				a.q.AddEdges(p, c)
+			}
 		}
-		a.q.AddEdge(int(p))
-		a.replicas.set(int(e.Src), int(p))
-		a.replicas.set(int(e.Dst), int(p))
-		a.outEdgeParts.set(int(e.Src), int(p))
-		a.inEdgeParts.set(int(e.Dst), int(p))
 	}
 
 	// Pick masters. PowerGraph picks one replica at random (§5.1.1); we
@@ -155,19 +170,32 @@ func newAssignment(g *graph.Graph, name string, passes, numParts int, seed uint6
 	// A strategy's MasterHint overrides this when the hinted partition
 	// actually holds a replica (Hybrid's low-degree masters).
 	a.Masters = make([]int32, n)
-	for v := 0; v < n; v++ {
-		reps := a.replicas.count(v)
-		if reps == 0 {
-			a.Masters[v] = -1
-			continue
-		}
-		a.q.VertexPlaced()
-		a.replicas.forEach(v, a.q.AddReplica)
-		hint := int32(-1)
-		if len(res.MasterHint) == n {
-			hint = res.MasterHint[v]
-		}
-		a.Masters[v] = chooseMaster(a.replicas, v, reps, hint, numParts, seed)
+	locals := make([]*metrics.Quality, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			local := metrics.NewQuality(numParts)
+			for v := n * w / workers; v < n*(w+1)/workers; v++ {
+				reps := a.replicas.count(v)
+				if reps == 0 {
+					a.Masters[v] = -1
+					continue
+				}
+				local.VertexPlaced()
+				a.replicas.forEach(v, local.AddReplica)
+				hint := int32(-1)
+				if len(res.MasterHint) == n {
+					hint = res.MasterHint[v]
+				}
+				a.Masters[v] = chooseMaster(a.replicas, v, reps, hint, numParts, seed)
+			}
+			locals[w] = local
+		}(w)
+	}
+	wg.Wait()
+	for _, local := range locals {
+		a.q.Merge(local)
 	}
 	return a, nil
 }

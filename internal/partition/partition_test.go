@@ -33,7 +33,7 @@ func TestEveryStrategyAssignsEveryEdge(t *testing.T) {
 		if s.Name() == "PDS" {
 			numParts = 7 // p=2: p²+p+1
 		}
-		a, err := Partition(g, s, numParts, 1)
+		a, err := ParallelPartition(g, s, numParts, 1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -57,11 +57,11 @@ func TestStrategiesDeterministic(t *testing.T) {
 		if s.Name() == "PDS" {
 			numParts = 7
 		}
-		a1, err := Partition(g, s, numParts, 42)
+		a1, err := ParallelPartition(g, s, numParts, 42, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		a2, err := Partition(g, s, numParts, 42)
+		a2, err := ParallelPartition(g, s, numParts, 42, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -77,7 +77,7 @@ func TestRandomIsCanonical(t *testing.T) {
 	// PowerGraph's Random ignores direction (§5.2.1): (u,v) and (v,u)
 	// hash identically.
 	g := graph.FromEdges("pair", []graph.Edge{{Src: 3, Dst: 7}, {Src: 7, Dst: 3}})
-	a, err := Partition(g, Random{}, 8, 5)
+	a, err := ParallelPartition(g, Random{}, 8, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAsymRandomSplitsSomePairs(t *testing.T) {
 		edges = append(edges, graph.Edge{Src: i, Dst: i + 64}, graph.Edge{Src: i + 64, Dst: i})
 	}
 	g := graph.FromEdges("pairs", edges)
-	a, err := Partition(g, AsymRandom{}, 8, 5)
+	a, err := ParallelPartition(g, AsymRandom{}, 8, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAsymRandomSplitsSomePairs(t *testing.T) {
 
 func TestOneDColocatesOutEdges(t *testing.T) {
 	g := testGraph()
-	a, err := Partition(g, OneD{}, 9, 1)
+	a, err := ParallelPartition(g, OneD{}, 9, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestOneDColocatesOutEdges(t *testing.T) {
 
 func TestOneDTargetColocatesInEdgesWithMaster(t *testing.T) {
 	g := testGraph()
-	a, err := Partition(g, OneDTarget{}, 9, 1)
+	a, err := ParallelPartition(g, OneDTarget{}, 9, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestOneDTargetColocatesInEdgesWithMaster(t *testing.T) {
 
 func TestGridRequiresPerfectSquare(t *testing.T) {
 	g := testGraph()
-	if _, err := Partition(g, Grid{}, 10, 1); err == nil {
+	if _, err := ParallelPartition(g, Grid{}, 10, 1, 1); err == nil {
 		t.Fatal("Grid accepted 10 partitions; want error (not a perfect square)")
 	}
-	if _, err := Partition(g, Grid{}, 9, 1); err != nil {
+	if _, err := ParallelPartition(g, Grid{}, 9, 1, 1); err != nil {
 		t.Fatalf("Grid rejected 9 partitions: %v", err)
 	}
 }
@@ -148,7 +148,7 @@ func TestGridReplicationBound(t *testing.T) {
 	// Grid bounds per-vertex replication by 2√P−1 (§5.2.3).
 	g := testGraph()
 	for _, p := range []int{9, 16, 25} {
-		a, err := Partition(g, Grid{}, p, 3)
+		a, err := ParallelPartition(g, Grid{}, p, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestGridReplicationBound(t *testing.T) {
 func TestResilientGridNonSquare(t *testing.T) {
 	g := testGraph()
 	for _, p := range []int{10, 12, 7} {
-		a, err := Partition(g, ResilientGrid{}, p, 3)
+		a, err := ParallelPartition(g, ResilientGrid{}, p, 3, 1)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -220,7 +220,7 @@ func TestPDSReplicationBound(t *testing.T) {
 	g := testGraph()
 	// P = 7 (p=2): bound p+1 = 3. P = 13 (p=3): bound 4.
 	for _, tc := range []struct{ parts, bound int }{{7, 3}, {13, 4}} {
-		a, err := Partition(g, PDS{}, tc.parts, 9)
+		a, err := ParallelPartition(g, PDS{}, tc.parts, 9, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestPDSReplicationBound(t *testing.T) {
 
 func TestPDSRejectsBadCounts(t *testing.T) {
 	g := testGraph()
-	if _, err := Partition(g, PDS{}, 9, 1); err == nil {
+	if _, err := ParallelPartition(g, PDS{}, 9, 1, 1); err == nil {
 		t.Fatal("PDS accepted 9 partitions")
 	}
 }
@@ -243,12 +243,12 @@ func TestGreedyBeatsRandomOnRF(t *testing.T) {
 	// The core qualitative result of §5.4: the greedy heuristics deliver
 	// lower replication factors than Random.
 	for _, g := range []*graph.Graph{testGraph(), roadGraph()} {
-		rnd, err := Partition(g, Random{}, 16, 2)
+		rnd, err := ParallelPartition(g, Random{}, 16, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range []Strategy{Oblivious{}, HDRF{}} {
-			a, err := Partition(g, s, 16, 2)
+			a, err := ParallelPartition(g, s, 16, 2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,8 +265,8 @@ func TestAsymRandomWorseThanRandom(t *testing.T) {
 	// than Random. Needs symmetric edges to matter; road nets have them
 	// all.
 	g := roadGraph()
-	rnd, _ := Partition(g, Random{}, 16, 2)
-	asym, _ := Partition(g, AsymRandom{}, 16, 2)
+	rnd, _ := ParallelPartition(g, Random{}, 16, 2, 1)
+	asym, _ := ParallelPartition(g, AsymRandom{}, 16, 2, 1)
 	if asym.ReplicationFactor() <= rnd.ReplicationFactor() {
 		t.Errorf("AsymRandom RF %.3f ≤ Random RF %.3f; paper says strictly worse",
 			asym.ReplicationFactor(), rnd.ReplicationFactor())
@@ -276,7 +276,7 @@ func TestAsymRandomWorseThanRandom(t *testing.T) {
 func TestHybridLowDegreeMastersLocal(t *testing.T) {
 	g := testGraph()
 	thr := 30
-	a, err := Partition(g, Hybrid{Threshold: thr}, 9, 4)
+	a, err := ParallelPartition(g, Hybrid{Threshold: thr}, 9, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestHybridLowDegreeMastersLocal(t *testing.T) {
 
 func TestHybridBalance(t *testing.T) {
 	g := testGraph()
-	a, err := Partition(g, Hybrid{Threshold: 30}, 9, 4)
+	a, err := ParallelPartition(g, Hybrid{Threshold: 30}, 9, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +307,8 @@ func TestGingerNotWorseThanHybridRF(t *testing.T) {
 	// §6.4.4: H-Ginger delivers slightly better replication factor than
 	// Hybrid (at high ingress cost). Allow equality.
 	g := testGraph()
-	hy, _ := Partition(g, Hybrid{Threshold: 30}, 9, 4)
-	gi, _ := Partition(g, HybridGinger{Threshold: 30}, 9, 4)
+	hy, _ := ParallelPartition(g, Hybrid{Threshold: 30}, 9, 4, 1)
+	gi, _ := ParallelPartition(g, HybridGinger{Threshold: 30}, 9, 4, 1)
 	if gi.ReplicationFactor() > hy.ReplicationFactor()*1.02 {
 		t.Errorf("H-Ginger RF %.3f notably worse than Hybrid RF %.3f",
 			gi.ReplicationFactor(), hy.ReplicationFactor())
@@ -322,7 +322,7 @@ func TestMastersAreReplicas(t *testing.T) {
 		if s.Name() == "PDS" {
 			numParts = 7
 		}
-		a, err := Partition(g, s, numParts, 1)
+		a, err := ParallelPartition(g, s, numParts, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestReplicationFactorProperty(t *testing.T) {
 			edges = append(edges, graph.Edge{Src: graph.VertexID(raw[i] % 128), Dst: graph.VertexID(raw[i+1] % 128)})
 		}
 		g := graph.FromEdges("q", edges)
-		a, err := Partition(g, Random{}, 5, 1)
+		a, err := ParallelPartition(g, Random{}, 5, 1, 1)
 		if err != nil {
 			return false
 		}
@@ -421,7 +421,7 @@ func TestNewUnknownStrategy(t *testing.T) {
 func TestEdgeBalanceBounds(t *testing.T) {
 	g := testGraph()
 	for _, s := range []Strategy{Random{}, OneD{}, TwoD{}, Grid{}} {
-		a, err := Partition(g, s, 9, 8)
+		a, err := ParallelPartition(g, s, 9, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

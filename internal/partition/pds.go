@@ -25,9 +25,6 @@ func init() {
 // Name implements Strategy.
 func (PDS) Name() string { return "PDS" }
 
-// Passes implements Strategy.
-func (PDS) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy. The assigner carries a scratch
 // membership array, so create one per goroutine.
 func (PDS) NewAssigner(numParts int, seed uint64) (Assigner, error) {
@@ -36,11 +33,6 @@ func (PDS) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 		return nil, err
 	}
 	return &pdsAssigner{parts: numParts, seed: seed, ds: ds, inSu: make([]bool, numParts)}, nil
-}
-
-// Partition implements Strategy.
-func (s PDS) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
 }
 
 type pdsAssigner struct {

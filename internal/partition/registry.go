@@ -46,17 +46,24 @@ var (
 	factories = map[string]Factory{}
 )
 
-// ErrNoIngressCapability is the error wrapped by Register's panic when a
-// factory produces a strategy implementing none of the ingress capabilities
-// (StatelessStrategy, StreamingStrategy, MultiPassStrategy). Such a strategy
-// would register cleanly and then fail only deep inside ShapeOf-driven
-// schedulers; the registry rejects it up front, at init time.
+// ErrNoIngressCapability is wrapped by every error or panic about a strategy
+// that implements none of the ingress capabilities (StatelessStrategy,
+// StreamingStrategy, MultiPassStrategy): Register panics with it at init
+// time, and ParallelPartition and NewShardedStreamBuilder return it.
 var ErrNoIngressCapability = errors.New("partition: strategy declares no ingress capability")
+
+// noCapability is the error for a strategy (possibly nil) with no ingress
+// capability.
+func noCapability(s Strategy) error {
+	return fmt.Errorf("%w: %T implements none of StatelessStrategy/StreamingStrategy/MultiPassStrategy",
+		ErrNoIngressCapability, s)
+}
 
 // Register adds a strategy factory under its paper name. It panics on an
 // empty name, nil factory, duplicate registration, or a factory whose
-// strategy declares no ingress capability — all programmer errors at init
-// time. The capability panic wraps ErrNoIngressCapability.
+// strategy declares no ingress capability (including a nil strategy) — all
+// programmer errors at init time. The capability panic wraps
+// ErrNoIngressCapability.
 func Register(name string, f Factory) {
 	if name == "" {
 		panic("partition: Register with empty strategy name")
@@ -64,15 +71,10 @@ func Register(name string, f Factory) {
 	if f == nil {
 		panic(fmt.Sprintf("partition: Register(%q) with nil factory", name))
 	}
-	probe := f(Options{})
-	if probe == nil {
-		panic(fmt.Errorf("%w: Register(%q) factory returned nil", ErrNoIngressCapability, name))
-	}
-	switch probe.(type) {
+	switch probe := f(Options{}); probe.(type) {
 	case StatelessStrategy, StreamingStrategy, MultiPassStrategy:
 	default:
-		panic(fmt.Errorf("%w: Register(%q) strategy %T implements none of StatelessStrategy/StreamingStrategy/MultiPassStrategy",
-			ErrNoIngressCapability, name, probe))
+		panic(fmt.Errorf("Register(%q): %w", name, noCapability(probe)))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -83,8 +85,9 @@ func Register(name string, f Factory) {
 }
 
 // New constructs a registered strategy by its paper name. The built-in set:
-// Random, CanonicalRandom, AsymRandom, Oblivious, HDRF, Grid,
-// ResilientGrid, PDS, Hybrid, H-Ginger, 1D, 1D-Target, 2D.
+// the paper's Random, CanonicalRandom, AsymRandom, Oblivious, HDRF, Grid,
+// ResilientGrid, PDS, Hybrid, H-Ginger, 1D, 1D-Target and 2D, plus the
+// post-paper families HEP, JaBeJaSwap and Multilevel.
 func New(name string, opt Options) (Strategy, error) {
 	regMu.RLock()
 	f, ok := factories[name]
@@ -156,11 +159,4 @@ func SystemStrategies(sys System) ([]string, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("partition: unknown system %q", sys)
-}
-
-// IsHeuristic reports whether a strategy does O(numParts) work per edge
-// during ingress (the greedy family), as opposed to O(1) hashing.
-func IsHeuristic(s Strategy) bool {
-	h, ok := s.(HeuristicStrategy)
-	return ok && h.Heuristic()
 }

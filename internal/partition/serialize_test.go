@@ -10,7 +10,7 @@ import (
 
 func TestAssignmentRoundTrip(t *testing.T) {
 	g := gen.PrefAttach("ser", 1500, 5, 0x31)
-	orig, err := Partition(g, Hybrid{Threshold: 30}, 9, 7)
+	orig, err := ParallelPartition(g, Hybrid{Threshold: 30}, 9, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestAssignmentRoundTrip(t *testing.T) {
 
 func TestAssignmentFileRoundTrip(t *testing.T) {
 	g := gen.RoadNet("ser-road", 20, 20, 0x31)
-	orig, err := Partition(g, Oblivious{}, 4, 7)
+	orig, err := ParallelPartition(g, Oblivious{}, 4, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAssignmentFileRoundTrip(t *testing.T) {
 func TestReadAssignmentValidation(t *testing.T) {
 	g := gen.RoadNet("ser-v", 10, 10, 1)
 	other := gen.RoadNet("ser-w", 12, 12, 2)
-	a, err := Partition(g, Random{}, 4, 1)
+	a, err := ParallelPartition(g, Random{}, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestReadAssignmentValidation(t *testing.T) {
 
 func TestLoadedAssignmentKeepsStrategyIdentity(t *testing.T) {
 	g := gen.RoadNet("ser-x", 10, 10, 1)
-	a, _ := Partition(g, Random{}, 4, 1)
+	a, _ := ParallelPartition(g, Random{}, 4, 1, 1)
 	var buf bytes.Buffer
 	if err := a.Encode(&buf); err != nil {
 		t.Fatal(err)

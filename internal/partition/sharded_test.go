@@ -37,9 +37,9 @@ func feedSharded(t *testing.T, sb *ShardedStreamBuilder, g *graph.Graph, batchSi
 
 // TestShardedMatchesSequential is the correctness bar for sharded ingress:
 // for every stateless strategy and several worker counts, the merged
-// summary must be fully identical to the sequential StreamBuilder's —
-// masters, per-partition counts, replicas, RF and balance — no matter how
-// batches interleave across workers.
+// summary must be fully identical to one shard fed the whole stream in
+// order — masters, per-partition counts, replicas, RF and balance — no
+// matter how batches interleave across workers.
 func TestShardedMatchesSequential(t *testing.T) {
 	g := gen.PrefAttach("sharded", 4000, 5, 0x5d)
 	for _, name := range AllNames() {
@@ -49,12 +49,17 @@ func TestShardedMatchesSequential(t *testing.T) {
 			continue
 		}
 		parts := partsFor(name)
-		seq, err := NewStreamBuilder(ss, parts, 9)
+		seq, err := newStreamShard(ss, parts, 9)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		feedInBatches(t, seq, g, 512)
-		want := seq.Finish()
+		for lo := 0; lo < len(g.Edges); lo += 512 {
+			hi := min(lo+512, len(g.Edges))
+			if err := seq.feed(EdgeBatch{Offset: int64(lo), Edges: g.Edges[lo:hi]}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		want := seq.summary()
 
 		for _, workers := range []int{1, 3, 8} {
 			sb, err := NewShardedStreamBuilder(ss, parts, workers, 9)
@@ -108,7 +113,7 @@ type badShardStrategy struct{ Random }
 func (badShardStrategy) NewAssigner(int, uint64) (Assigner, error) { return badAssigner{}, nil }
 
 func TestShardedPropagatesAssignmentErrors(t *testing.T) {
-	sb, err := NewShardedStreamBuilder(badShardStrategy{}, 4, 2, 1)
+	sb, err := NewShardedStreamBuilder(badShardStrategy{}, 4, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +135,9 @@ func TestShardedPropagatesAssignmentErrors(t *testing.T) {
 	}
 }
 
-// TestStreamBuilderFeedDoesNotAllocate pins the steady-state ingress hot
-// path at zero allocations per batch: once the bit-matrices have grown to
-// the vertex range, the batch→Feed cycle must reuse everything.
+// TestStreamBuilderFeedDoesNotAllocate pins each stream worker's hot path
+// at zero allocations per batch: once a shard's bit-matrices have grown to
+// the vertex range, the batch→feed cycle must reuse everything.
 func TestStreamBuilderFeedDoesNotAllocate(t *testing.T) {
 	g := gen.PrefAttach("allocs", 2000, 4, 0x33)
 	for _, name := range []string{"Random", "Grid", "HDRF"} {
@@ -141,16 +146,16 @@ func TestStreamBuilderFeedDoesNotAllocate(t *testing.T) {
 		if !ok {
 			continue // HDRF is streaming, not stateless — documented skip
 		}
-		b, err := NewStreamBuilder(ss, 9, 1)
+		b, err := newStreamShard(ss, 9, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch := EdgeBatch{Edges: g.Edges}
-		if err := b.Feed(batch); err != nil { // warm: grows rows to |V|
+		if err := b.feed(batch); err != nil { // warm: grows rows to |V|
 			t.Fatal(err)
 		}
 		avg := testing.AllocsPerRun(20, func() {
-			if err := b.Feed(batch); err != nil {
+			if err := b.feed(batch); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -75,7 +75,7 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 		for _, name := range strategies {
 			parts := sourceParts(name)
 			s := partition.MustNew(name, partition.Options{HybridThreshold: 30})
-			at, err := partition.Partition(fromText, s, parts, 1)
+			at, err := partition.ParallelPartition(fromText, s, parts, 1, 1)
 			if err != nil {
 				t.Fatalf("%s/%s (text): %v", ds, name, err)
 			}
@@ -83,7 +83,7 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 				if how == "text" {
 					continue
 				}
-				ab, err := partition.Partition(src, s, parts, 1)
+				ab, err := partition.ParallelPartition(src, s, parts, 1, 1)
 				if err != nil {
 					t.Fatalf("%s/%s (%s): %v", ds, name, how, err)
 				}
@@ -98,7 +98,7 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 	}
 }
 
-// TestStreamedBinarySourceMatchesText feeds a StreamBuilder from both file
+// TestStreamedBinarySourceMatchesText feeds a stream builder from both file
 // formats via graph.StreamFile and checks the streamed summaries agree —
 // the bounded-memory ingress path accepts the binary source too.
 func TestStreamedBinarySourceMatchesText(t *testing.T) {
@@ -119,7 +119,7 @@ func TestStreamedBinarySourceMatchesText(t *testing.T) {
 
 	summarize := func(path string) *partition.StreamSummary {
 		s := partition.MustNew("Grid", partition.Options{}).(partition.StatelessStrategy)
-		b, err := partition.NewStreamBuilder(s, 9, 1)
+		b, err := partition.NewShardedStreamBuilder(s, 9, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,11 @@ func TestStreamedBinarySourceMatchesText(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return b.Finish()
+		sum, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
 	}
 	st := summarize(textPath)
 	for _, path := range []string{binPath, v2Path} {

@@ -83,7 +83,7 @@ func TestIncrementalMatchesOneShotAddOnly(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		applyTrace(t, st, g, gen.ChurnConfig{Windows: 5, DelFrac: 0, Seed: 7})
-		a, err := Partition(g, s, numParts, 1)
+		a, err := ParallelPartition(g, s, numParts, 1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -9,9 +9,9 @@ import (
 	"graphpart/internal/metrics"
 )
 
-// ErrFeedAfterFinish is returned by StreamBuilder.Feed and
-// ShardedStreamBuilder.Feed once Finish has been called: the summary has
-// been derived and the builder accepts no more edges.
+// ErrFeedAfterFinish is returned by ShardedStreamBuilder.Feed once Finish
+// has been called: the summary has been derived and the builder accepts no
+// more edges.
 var ErrFeedAfterFinish = errors.New("partition: Feed after Finish")
 
 // EdgeBatch is one chunk of an edge stream: a run of edges plus the global
@@ -66,7 +66,8 @@ type Loader interface {
 // streaming a contiguous block of the edge list with its own private state
 // and no cross-loader coordination — exactly the paper's multi-machine
 // ingress semantics (§5.2.2). Because loaders never share state, the blocks
-// can run concurrently and the result is identical to the sequential pass.
+// can run concurrently and the result does not depend on the worker count.
+// Every streaming strategy is greedy: it pays O(numParts) scoring per edge.
 type StreamingStrategy interface {
 	Strategy
 	// Loaders returns the number of independent loader states used when
@@ -79,14 +80,17 @@ type StreamingStrategy interface {
 }
 
 // MultiPassStrategy is the capability of strategies that cannot consume the
-// edge stream in a single bounded-memory pass (Hybrid, H-Ginger). MultiPass
-// declares the pass structure — total scans over the edge list, how many of
-// them pay O(numParts) greedy scoring per edge — and why single-pass
-// streaming is impossible, so schedulers and the ingress model need no
-// per-name knowledge.
+// edge stream in a single bounded-memory pass (Hybrid, H-Ginger, HEP,
+// JaBeJaSwap, Multilevel). MultiPass declares the pass structure — total
+// scans over the edge list, how many of them pay O(numParts) greedy scoring
+// per edge — and why single-pass streaming is impossible, so schedulers and
+// the ingress model need no per-name knowledge. Partition is the whole-graph
+// placement; it is the only capability that has one.
 type MultiPassStrategy interface {
 	Strategy
 	MultiPass() (passes, heuristicPasses int, why string)
+	// Partition assigns every edge of g to one of numParts partitions.
+	Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error)
 }
 
 // IngressShape describes how a strategy consumes the edge stream during
@@ -109,31 +113,21 @@ type IngressShape struct {
 	MultiPassReason string
 }
 
-// ShapeOf derives a strategy's ingress shape from its capabilities:
-// StatelessStrategy → one hash pass; StreamingStrategy → one pass over
-// independent sharded loaders (heuristic-priced if the strategy is greedy);
-// MultiPassStrategy → whatever the strategy declares. Strategies with none
-// of the capabilities fall back to Passes()/IsHeuristic.
+// ShapeOf derives a strategy's ingress shape from its capability:
+// StatelessStrategy → one hash pass; StreamingStrategy → one greedy pass
+// over independent sharded loaders; MultiPassStrategy → whatever the
+// strategy declares. A strategy with no capability has the zero shape.
 func ShapeOf(s Strategy, numParts int) IngressShape {
-	if mp, ok := s.(MultiPassStrategy); ok {
-		p, hp, why := mp.MultiPass()
+	switch c := s.(type) {
+	case MultiPassStrategy:
+		p, hp, why := c.MultiPass()
 		return IngressShape{Passes: p, HeuristicPasses: hp, MultiPassReason: why}
-	}
-	if ss, ok := s.(StreamingStrategy); ok {
-		hp := 0
-		if IsHeuristic(s) {
-			hp = 1
-		}
-		return IngressShape{Passes: 1, HeuristicPasses: hp, Streaming: true, Loaders: ss.Loaders(numParts)}
-	}
-	if _, ok := s.(StatelessStrategy); ok {
+	case StreamingStrategy:
+		return IngressShape{Passes: 1, HeuristicPasses: 1, Streaming: true, Loaders: c.Loaders(numParts)}
+	case StatelessStrategy:
 		return IngressShape{Passes: 1, Streaming: true}
 	}
-	hp := 0
-	if IsHeuristic(s) {
-		hp = 1
-	}
-	return IngressShape{Passes: s.Passes(), HeuristicPasses: hp}
+	return IngressShape{}
 }
 
 // loaderBlock returns the contiguous edge-index range [lo, hi) streamed by
@@ -146,63 +140,17 @@ func loaderBlock(m, numLoaders, id int) (lo, hi int) {
 	return lo, hi
 }
 
-// statelessPartition is the sequential reference path shared by every
-// StatelessStrategy's Partition method: one assigner streams the whole edge
-// list; hints, when the assigner produces them, are evaluated per vertex.
-func statelessPartition(s StatelessStrategy, g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	asg, err := s.NewAssigner(numParts, seed)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]int32, g.NumEdges())
-	for i, e := range g.Edges {
-		parts[i] = asg.Assign(e)
-	}
-	var hint []int32
-	if h, ok := asg.(MasterHinter); ok {
-		n := g.NumVertices()
-		hint = make([]int32, n)
-		for v := 0; v < n; v++ {
-			hint[v] = h.MasterHint(graph.VertexID(v))
-		}
-	}
-	return &Result{EdgeParts: parts, MasterHint: hint}, nil
-}
-
-// streamingPartition is the sequential reference path shared by every
-// StreamingStrategy's Partition method: loader blocks run one after another,
-// each over its own private state.
-func streamingPartition(s StreamingStrategy, g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	m := g.NumEdges()
-	nl := s.Loaders(numParts)
-	if nl < 1 {
-		nl = 1
-	}
-	parts := make([]int32, m)
-	for id := 0; id < nl; id++ {
-		lo, hi := loaderBlock(m, nl, id)
-		if lo >= hi {
-			continue
-		}
-		ld := s.NewLoader(g.NumVertices(), numParts, id, seed)
-		for i := lo; i < hi; i++ {
-			parts[i] = ld.Assign(g.Edges[i])
-		}
-	}
-	return &Result{EdgeParts: parts}, nil
-}
-
 // --- memory-bounded stream ingress ------------------------------------
 
-// StreamBuilder consumes an edge stream batch by batch for a stateless
+// streamShard consumes an edge stream batch by batch for a stateless
 // strategy and accumulates the vertex-cut bookkeeping — per-partition edge
 // counts and the replica/in/out bit-matrices — without ever materializing
 // the edge list. Peak memory is O(|V|·P/8) bits plus one batch, the
-// memory-bounded ingress regime of the paper's real systems.
-//
-// A StreamBuilder is single-goroutine; feed it batches in any order (results
-// are order-independent because the strategy is stateless).
-type StreamBuilder struct {
+// memory-bounded ingress regime of the paper's real systems. It is one
+// ShardedStreamBuilder worker's private state and is single-goroutine;
+// batches may arrive in any order (results are order-independent because
+// the strategy is stateless).
+type streamShard struct {
 	strategy string
 	numParts int
 	seed     uint64
@@ -214,19 +162,14 @@ type StreamBuilder struct {
 	replicas *bitMatrix
 	inParts  *bitMatrix
 	outParts *bitMatrix
-	finished *StreamSummary // non-nil once Finish has derived the summary
 }
 
-// NewStreamBuilder prepares a stream ingress for a stateless strategy.
-func NewStreamBuilder(s StatelessStrategy, numParts int, seed uint64) (*StreamBuilder, error) {
-	if numParts < 1 {
-		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
-	}
+func newStreamShard(s StatelessStrategy, numParts int, seed uint64) (*streamShard, error) {
 	asg, err := s.NewAssigner(numParts, seed)
 	if err != nil {
 		return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
 	}
-	b := &StreamBuilder{
+	b := &streamShard{
 		strategy: s.Name(),
 		numParts: numParts,
 		seed:     seed,
@@ -240,13 +183,9 @@ func NewStreamBuilder(s StatelessStrategy, numParts int, seed uint64) (*StreamBu
 	return b, nil
 }
 
-// Feed assigns and accounts one batch of edges. The batch's slice is not
-// retained; callers may reuse it. Feeding after Finish returns
-// ErrFeedAfterFinish.
-func (b *StreamBuilder) Feed(batch EdgeBatch) error {
-	if b.finished != nil {
-		return fmt.Errorf("%w (strategy %s)", ErrFeedAfterFinish, b.strategy)
-	}
+// feed assigns and accounts one batch of edges. The batch's slice is not
+// retained.
+func (b *streamShard) feed(batch EdgeBatch) error {
 	for i, e := range batch.Edges {
 		if v := int(max(e.Src, e.Dst)) + 1; v > b.n {
 			b.n = v
@@ -268,11 +207,12 @@ func (b *StreamBuilder) Feed(batch EdgeBatch) error {
 	return nil
 }
 
-// merge folds another builder's accumulated state into b. Every piece of
-// StreamBuilder state is a commutative monoid under merge (counter sums,
-// bit-set unions, max vertex id), which is what makes sharded ingress exact:
-// masters and metrics are derived only at Finish, from the merged state.
-func (b *StreamBuilder) merge(o *StreamBuilder) {
+// merge folds another shard's accumulated state into b. Every piece of
+// shard state is a commutative monoid under merge (counter sums, bit-set
+// unions, max vertex id), which is what makes sharded ingress exact:
+// masters and metrics are derived only at summary time, from the merged
+// state.
+func (b *streamShard) merge(o *streamShard) {
 	if o.n > b.n {
 		b.n = o.n
 	}
@@ -282,14 +222,10 @@ func (b *StreamBuilder) merge(o *StreamBuilder) {
 	b.outParts.or(o.outParts)
 }
 
-// Finish derives masters and the quality metrics from the accumulated state.
-// The summary matches what Partition would have computed for the same edges:
-// identical EdgeCount, Masters and ReplicationFactor. Finish is idempotent;
-// after the first call the builder accepts no more edges.
-func (b *StreamBuilder) Finish() *StreamSummary {
-	if b.finished != nil {
-		return b.finished
-	}
+// summary derives masters and the quality metrics from the accumulated
+// state: the same EdgeCount, Masters and ReplicationFactor that
+// ParallelPartition computes for the same edges. It is called once.
+func (b *streamShard) summary() *StreamSummary {
 	sum := &StreamSummary{
 		Strategy:    b.strategy,
 		NumParts:    b.numParts,
@@ -314,7 +250,6 @@ func (b *StreamBuilder) Finish() *StreamSummary {
 		}
 		sum.Masters[v] = chooseMaster(b.replicas, v, reps, hint, b.numParts, b.seed)
 	}
-	b.finished = sum
 	return sum
 }
 

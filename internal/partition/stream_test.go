@@ -5,38 +5,12 @@ import (
 	"testing"
 
 	"graphpart/internal/gen"
-	"graphpart/internal/graph"
 )
 
-// feedInBatches pushes a graph's edge list through a StreamBuilder in
-// batches of the given size, reusing one buffer as a file reader would.
-func feedInBatches(t *testing.T, b *StreamBuilder, g *graph.Graph, batchSize int) {
-	t.Helper()
-	buf := make([]graph.Edge, 0, batchSize)
-	offset := int64(0)
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		if err := b.Feed(EdgeBatch{Offset: offset, Edges: buf}); err != nil {
-			t.Fatal(err)
-		}
-		offset += int64(len(buf))
-		buf = buf[:0]
-	}
-	for _, e := range g.Edges {
-		buf = append(buf, e)
-		if len(buf) == batchSize {
-			flush()
-		}
-	}
-	flush()
-}
-
 // TestStreamMatchesMaterialized asserts that the memory-bounded stream
-// ingress produces the same bookkeeping as the materialized Partition path
-// for every stateless strategy: edge counts, masters, replica totals,
-// replication factor and balance.
+// ingress, in its sequential one-worker case, produces the same bookkeeping
+// as the materialized path for every stateless strategy: edge counts,
+// masters, replica totals, replication factor and balance.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	g := gen.PrefAttach("stream", 3000, 5, 0x71)
 	for _, name := range AllNames() {
@@ -46,17 +20,20 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			continue
 		}
 		parts := partsFor(name)
-		want, err := Partition(g, s, parts, 9)
+		want, err := ParallelPartition(g, s, parts, 9, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, batchSize := range []int{1, 97, 4096} {
-			b, err := NewStreamBuilder(ss, parts, 9)
+			b, err := NewShardedStreamBuilder(ss, parts, 1, 9)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			feedInBatches(t, b, g, batchSize)
-			got := b.Finish()
+			feedSharded(t, b, g, batchSize)
+			got, err := b.Finish()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			if got.NumEdges != int64(g.NumEdges()) || got.NumVertices != g.NumVertices() {
 				t.Fatalf("%s/batch=%d: sizes |V|=%d |E|=%d, want %d/%d",
 					name, batchSize, got.NumVertices, got.NumEdges, g.NumVertices(), g.NumEdges())
@@ -107,11 +84,14 @@ func TestStreamBuilderRejectsStateful(t *testing.T) {
 }
 
 func TestStreamBuilderEmpty(t *testing.T) {
-	b, err := NewStreamBuilder(Random{}, 4, 1)
+	b, err := NewShardedStreamBuilder(Random{}, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := b.Finish()
+	sum, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.NumEdges != 0 || sum.NumVertices != 0 {
 		t.Fatalf("empty stream: |V|=%d |E|=%d", sum.NumVertices, sum.NumEdges)
 	}
@@ -124,11 +104,11 @@ func TestStreamBuilderEmpty(t *testing.T) {
 }
 
 func TestStreamBuilderBadParts(t *testing.T) {
-	if _, err := NewStreamBuilder(Random{}, 0, 1); err == nil {
+	if _, err := NewShardedStreamBuilder(Random{}, 0, 1, 1); err == nil {
 		t.Error("numParts=0 accepted")
 	}
 	// Grid propagates its perfect-square constraint through NewAssigner.
-	if _, err := NewStreamBuilder(Grid{}, 8, 1); err == nil {
+	if _, err := NewShardedStreamBuilder(Grid{}, 8, 1, 1); err == nil {
 		t.Error("Grid with non-square parts accepted")
 	}
 }
@@ -165,6 +145,9 @@ func TestShapeOf(t *testing.T) {
 			t.Errorf("%s: MultiPassReason %q, want declared=%v", tc.name, shape.MultiPassReason, tc.multiPass)
 		}
 	}
+	if shape := ShapeOf(noCapStrategy{}, 16); shape != (IngressShape{}) {
+		t.Errorf("capability-less strategy: shape %+v, want the zero shape", shape)
+	}
 }
 
 // TestRegisterRejectsDuplicates guards the self-registering factory map.
@@ -182,10 +165,6 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 type noCapStrategy struct{}
 
 func (noCapStrategy) Name() string { return "NoCap" }
-func (noCapStrategy) Passes() int  { return 1 }
-func (noCapStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return &Result{EdgeParts: make([]int32, g.NumEdges())}, nil
-}
 
 // TestRegisterRejectsCapabilityless: a strategy with no ingress capability
 // would dodge ShapeOf dispatch and every stream builder; Register panics at
