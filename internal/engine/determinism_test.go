@@ -24,7 +24,7 @@ func detOpts(workers int) engine.Options {
 	return engine.Options{HighDegreeThreshold: 30, Workers: workers, MaxSupersteps: 4000}
 }
 
-func detCases() []detCase {
+func detCases(model cluster.CostModel) []detCase {
 	return []detCase{
 		{"PageRank(10)", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
 			opts := detOpts(w)
@@ -78,16 +78,27 @@ func detCases() []detCase {
 // deterministic functions of partitioning quality" claim while executing on
 // however many cores the host has.
 func TestParallelEngineDeterminism(t *testing.T) {
+	// fractional has prices no float64 sum represents exactly: worker
+	// independence must not rest on the default model's integer prices.
+	fractional := model
+	fractional.GatherEdgeNs, fractional.ApplyVertexNs, fractional.ScatterEdgeNs = 0.1, 0.3, 0.7
+	models := []struct {
+		prefix  string
+		m       cluster.CostModel
+		workers []int
+	}{
+		{"", model, []int{4}},
+		{"fractional/", fractional, []int{2, 7}},
+	}
 	graphs := map[string]*graph.Graph{
 		// Skewed: a few shards carry hub vertices, stressing the dynamic
 		// shard scheduler.
 		"power-law": gen.PrefAttach("det-plaw", 2200, 5, 0x9),
 	}
 	strategies := []string{"Random", "Hybrid"}
-	workerSet := []int{4}
 	if !testing.Short() {
 		strategies = append(strategies, "Grid", "HDRF")
-		workerSet = append(workerSet, 2, 7)
+		models[0].workers = append(models[0].workers, 2, 7)
 		// High-diameter: thousands of small frontiers exercise the inline
 		// (single-shard) path against the sharded one.
 		graphs["road-net"] = gen.RoadNet("det-road", 45, 45, 0x9)
@@ -101,26 +112,28 @@ func TestParallelEngineDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range modes {
-				for _, tc := range detCases() {
-					t.Run(fmt.Sprintf("%s/%s/mode%d/%s", gname, strat, mode, tc.name), func(t *testing.T) {
-						seqVals, seqStats, err := tc.run(mode, a, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, w := range workerSet {
-							parVals, parStats, err := tc.run(mode, a, w)
+			for _, mc := range models {
+				for _, mode := range modes {
+					for _, tc := range detCases(mc.m) {
+						t.Run(fmt.Sprintf("%s%s/%s/mode%d/%s", mc.prefix, gname, strat, mode, tc.name), func(t *testing.T) {
+							seqVals, seqStats, err := tc.run(mode, a, 1)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !reflect.DeepEqual(seqVals, parVals) {
-								t.Errorf("Workers=%d Values differ from Workers=1", w)
+							for _, w := range mc.workers {
+								parVals, parStats, err := tc.run(mode, a, w)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(seqVals, parVals) {
+									t.Errorf("Workers=%d Values differ from Workers=1", w)
+								}
+								if !reflect.DeepEqual(seqStats, parStats) {
+									t.Errorf("Workers=%d Stats differ from Workers=1:\nseq: %+v\npar: %+v", w, seqStats, parStats)
+								}
 							}
-							if !reflect.DeepEqual(seqStats, parStats) {
-								t.Errorf("Workers=%d Stats differ from Workers=1:\nseq: %+v\npar: %+v", w, seqStats, parStats)
-							}
-						}
-					})
+						})
+					}
 				}
 			}
 		}

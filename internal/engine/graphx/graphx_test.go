@@ -194,44 +194,54 @@ func TestGraphXGreedyPartitioningSlower(t *testing.T) {
 func TestGraphXParallelDeterminism(t *testing.T) {
 	g := gen.PrefAttach("gx-det", 2200, 5, 0x9)
 	cc := cluster.GraphXLocal9
+	// fractional has prices no float64 sum represents exactly: worker
+	// independence must not rest on the default model's integer prices.
+	fractional := model
+	fractional.RDDEdgeNs, fractional.ApplyVertexNs, fractional.TaskOverheadNs = 0.7, 0.3, 0.1
 	for _, strat := range []string{"CanonicalRandom", "2D", "HDRF"} {
 		a := gxAssignment(t, g, strat, cc)
-		for _, appName := range []string{"PageRank", "WCC", "SSSP"} {
-			t.Run(strat+"/"+appName, func(t *testing.T) {
-				run := func(workers int) (any, graphx.Stats) {
-					gcfg := graphx.Config{Cluster: cc, Iterations: 15, Workers: workers}
-					switch appName {
-					case "PageRank":
-						out, err := graphx.Run[float64, float64](app.PageRank{}, a, gcfg, model)
-						if err != nil {
-							t.Fatal(err)
+		for _, tc := range []struct {
+			prefix string
+			model  cluster.CostModel
+		}{{"", model}, {"fractional/", fractional}} {
+			for _, appName := range []string{"PageRank", "WCC", "SSSP"} {
+				model := tc.model
+				t.Run(tc.prefix+strat+"/"+appName, func(t *testing.T) {
+					run := func(workers int) (any, graphx.Stats) {
+						gcfg := graphx.Config{Cluster: cc, Iterations: 15, Workers: workers}
+						switch appName {
+						case "PageRank":
+							out, err := graphx.Run[float64, float64](app.PageRank{}, a, gcfg, model)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return out.Values, out.Stats
+						case "WCC":
+							out, err := graphx.Run[uint32, uint32](app.WCC{}, a, gcfg, model)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return out.Values, out.Stats
+						default:
+							out, err := graphx.Run[float64, float64](app.SSSP{Source: 0}, a, gcfg, model)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return out.Values, out.Stats
 						}
-						return out.Values, out.Stats
-					case "WCC":
-						out, err := graphx.Run[uint32, uint32](app.WCC{}, a, gcfg, model)
-						if err != nil {
-							t.Fatal(err)
+					}
+					seqVals, seqStats := run(1)
+					for _, w := range []int{2, 4, 7} {
+						parVals, parStats := run(w)
+						if !reflect.DeepEqual(seqVals, parVals) {
+							t.Errorf("Workers=%d Values differ from Workers=1", w)
 						}
-						return out.Values, out.Stats
-					default:
-						out, err := graphx.Run[float64, float64](app.SSSP{Source: 0}, a, gcfg, model)
-						if err != nil {
-							t.Fatal(err)
+						if !reflect.DeepEqual(seqStats, parStats) {
+							t.Errorf("Workers=%d Stats differ from Workers=1:\nseq: %+v\npar: %+v", w, seqStats, parStats)
 						}
-						return out.Values, out.Stats
 					}
-				}
-				seqVals, seqStats := run(1)
-				for _, w := range []int{2, 4, 7} {
-					parVals, parStats := run(w)
-					if !reflect.DeepEqual(seqVals, parVals) {
-						t.Errorf("Workers=%d Values differ from Workers=1", w)
-					}
-					if !reflect.DeepEqual(seqStats, parStats) {
-						t.Errorf("Workers=%d Stats differ from Workers=1:\nseq: %+v\npar: %+v", w, seqStats, parStats)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
