@@ -36,6 +36,16 @@ func (c Config) NumParts() int {
 // block manager spreads partitions).
 func (c Config) MachineOf(part int) int { return part % c.Machines }
 
+// MachineTable returns MachineOf(p) for every partition p < NumParts(), for
+// hot loops that would otherwise take a modulo per replica.
+func (c Config) MachineTable() []int {
+	t := make([]int, c.NumParts())
+	for p := range t {
+		t[p] = c.MachineOf(p)
+	}
+	return t
+}
+
 // Validate reports configuration errors early.
 func (c Config) Validate() error {
 	if c.Machines < 1 {

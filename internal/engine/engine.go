@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/graph"
@@ -84,6 +85,18 @@ type Program[V, A any] interface {
 // peeling round re-examines every remaining vertex (§3.3.3).
 type Reactivator[V any] interface {
 	StayActive(g *graph.Graph, v graph.VertexID, val V) bool
+}
+
+// DirMasks returns all-ones word masks for the edge directions d covers
+// (in, out) and zero for the others, for filtering partition bit rows.
+func DirMasks(d Direction) (in, out uint64) {
+	if d == DirIn || d == DirBoth {
+		in = ^uint64(0)
+	}
+	if d == DirOut || d == DirBoth {
+		out = ^uint64(0)
+	}
+	return in, out
 }
 
 // Natural reports whether p is a "natural application" in PowerLyra's sense
@@ -161,10 +174,11 @@ type Outcome[V any] struct {
 //
 // Each superstep phase (gather+apply, value commit, scatter) executes on up
 // to opts.Workers goroutines over contiguous frontier shards. The shard
-// structure depends only on the frontier length and all floating-point
-// meters merge in shard order, so every Workers value — including the
-// sequential Workers=1 case, which is the same code path run inline —
-// produces byte-identical Stats and Values.
+// structure depends only on the frontier length, and the phases meter
+// simulated cost as integer event counts that are summed and priced once per
+// superstep, so every Workers value — including the sequential Workers=1
+// case, which is the same code path run inline — produces byte-identical
+// Stats and Values.
 func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg cluster.Config, model cluster.CostModel, opts Options) (*Outcome[V], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -205,9 +219,24 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 
 	gatherDir := prog.GatherDir()
 	scatterDir := prog.ScatterDir()
-	accB := float64(prog.AccBytes() + model.MsgOverheadBytes)
-	valB := float64(prog.ValueBytes() + model.MsgOverheadBytes)
-	sigB := float64(model.SignalBytes)
+	prices := Prices{
+		GatherEdgeNs:  model.GatherEdgeNs,
+		ApplyNs:       model.ApplyVertexNs,
+		ScatterEdgeNs: model.ScatterEdgeNs,
+		AccBytes:      float64(prog.AccBytes() + model.MsgOverheadBytes),
+		ValBytes:      float64(prog.ValueBytes() + model.MsgOverheadBytes),
+		SigBytes:      float64(model.SignalBytes),
+	}
+	// Replica walks iterate a vertex's replica bit row. A PowerLyra
+	// low-degree vertex gathers only from partitions holding
+	// gather-direction edges and syncs only partitions holding
+	// scatter-direction edges (DirBoth and DirNone sync every replica):
+	// these masks select the edge rows that filter the walk.
+	gatherIn, gatherOut := DirMasks(gatherDir)
+	syncFiltered := scatterDir == DirIn || scatterDir == DirOut
+	syncIn, syncOut := DirMasks(scatterDir)
+	machineOf := cfg.MachineTable()
+	edgeParts, masters := a.EdgeParts, a.Masters
 
 	reactivator, _ := any(prog).(Reactivator[V])
 
@@ -254,20 +283,16 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 			break
 		}
 
-		for p := 0; p < a.NumParts; p++ {
-			work[p], inBytes[p], outBytes[p] = 0, 0, 0
-		}
-		var dynBytes float64
-
 		// ---- Gather + Apply ----
 		// Embarrassingly parallel over the frontier: each shard reads vals
-		// and writes newVals only at its own vertices' indexes, metering
-		// into its private scratch. The merged change list is in frontier
+		// and writes newVals only at its own vertices' indexes, counting
+		// into its private meters. The merged change list is in frontier
 		// order, exactly as the sequential loop produced it.
 		nf := len(frontier)
-		var gatherEdges int64
-		changedList, gatherEdges, dynBytes = sh.Meter(nf, work, inBytes, outBytes, changedList[:0],
+		changedList = sh.Meter(nf, changedList[:0],
 			func(lo, hi int, ms *Meters, ch []graph.VertexID) []graph.VertexID {
+				gathered, applies := ms.GatherEdges, ms.Applies
+				accOut, accIn, valOut, valIn := ms.AccOut, ms.AccIn, ms.ValOut, ms.ValIn
 				for _, v := range frontier[lo:hi] {
 					var acc A
 					hasAcc := false
@@ -281,8 +306,7 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 							} else {
 								acc, hasAcc = c, true
 							}
-							ms.Work[a.EdgeParts[eids[i]]] += model.GatherEdgeNs
-							ms.Edges++
+							gathered[edgeParts[eids[i]]]++
 						}
 					}
 					if gatherDir == DirOut || gatherDir == DirBoth {
@@ -295,8 +319,7 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 							} else {
 								acc, hasAcc = c, true
 							}
-							ms.Work[a.EdgeParts[eids[i]]] += model.GatherEdgeNs
-							ms.Edges++
+							gathered[edgeParts[eids[i]]]++
 						}
 					}
 
@@ -314,23 +337,32 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 					}
 
 					// Gather-stage network: partial accumulators flow from mirror
-					// partitions to the master.
-					low := isLowDegree(v)
-					forEachGatherSource(mode, a, v, gatherDir, low, func(p int) {
-						if p == master {
-							return
+					// partitions on other machines to the master.
+					lyraLow := mode == ModePowerLyra && isLowDegree(v)
+					mm := machineOf[master]
+					reps := a.ReplicaBits(v)
+					var ins, outs []uint64
+					if lyraLow {
+						ins, outs = a.InEdgeBits(v), a.OutEdgeBits(v)
+					}
+					var sent int64
+					for wi, w := range reps {
+						if lyraLow {
+							w &= ins[wi]&gatherIn | outs[wi]&gatherOut
 						}
-						if cfg.MachineOf(p) != cfg.MachineOf(master) {
-							ms.Out[p] += accB
-							ms.In[master] += accB
-							ms.Dyn += accB
+						for ; w != 0; w &= w - 1 {
+							if p := wi<<6 | bits.TrailingZeros64(w); machineOf[p] != mm {
+								accOut[p]++
+								sent++
+							}
 						}
-					})
+					}
+					accIn[master] += sent
 
 					// Apply at the master.
 					nv, changed := prog.Apply(g, v, vals[v], acc, hasAcc)
 					newVals[v] = nv
-					ms.Work[master] += model.ApplyVertexNs
+					applies[master]++
 					if changed {
 						ch = append(ch, v)
 					}
@@ -342,24 +374,30 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 					// message, only when it changed, and only to partitions that
 					// need it for scatter — the hybrid engine's synchronization
 					// saving for natural applications.
-					if mode == ModePowerLyra && low && !changed {
+					if lyraLow && !changed {
 						continue
 					}
-					forEachSyncTarget(mode, a, v, scatterDir, low, func(p int) {
-						if p == master {
-							return
+					sent = 0
+					for wi, w := range reps {
+						if lyraLow && syncFiltered {
+							w &= ins[wi]&syncIn | outs[wi]&syncOut
 						}
-						ms.Work[p] += model.ApplyVertexNs // mirror applies the update
-						if cfg.MachineOf(p) != cfg.MachineOf(master) {
-							ms.Out[master] += valB
-							ms.In[p] += valB
-							ms.Dyn += valB
+						for ; w != 0; w &= w - 1 {
+							p := wi<<6 | bits.TrailingZeros64(w)
+							if p == master {
+								continue
+							}
+							applies[p]++ // mirror applies the update
+							if machineOf[p] != mm {
+								valIn[p]++
+								sent++
+							}
 						}
-					})
+					}
+					valOut[master] += sent
 				}
 				return ch
 			})
-		stats.EdgesProcessed += gatherEdges
 
 		// Commit applied values (disjoint indexes; no meters).
 		sh.Do(nf, func(lo, hi int) {
@@ -369,45 +407,41 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 		})
 
 		// ---- Scatter: changed vertices activate neighbors ----
-		// Meters stay per-shard; activation bits go to per-worker bitmaps
+		// Counts stay per-shard; activation bits go to per-worker bitmaps
 		// merged by OR (commutative and idempotent, so the merged frontier
 		// is independent of shard→worker scheduling).
-		stats.EdgesProcessed += sh.Scatter(len(changedList), work, inBytes, outBytes, nextActive,
-			func(lo, hi int, ms *Meters, nb Bitset) {
-				for _, v := range changedList[lo:hi] {
-					if scatterDir == DirOut || scatterDir == DirBoth {
-						nbrs := g.OutNeighbors(v)
-						eids := g.OutEdgeIDs(v)
-						for i, u := range nbrs {
-							p := int(a.EdgeParts[eids[i]])
-							ms.Work[p] += model.ScatterEdgeNs
-							ms.Edges++
-							um := a.Master(u)
-							if um >= 0 && cfg.MachineOf(p) != cfg.MachineOf(um) {
-								ms.Out[p] += sigB
-								ms.In[um] += sigB
-							}
-							nb.Set(int(u))
+		sh.Scatter(len(changedList), nextActive, func(lo, hi int, ms *Meters, nb Bitset) {
+			scattered, sigOut, sigIn := ms.ScatterEdges, ms.SigOut, ms.SigIn
+			for _, v := range changedList[lo:hi] {
+				if scatterDir == DirOut || scatterDir == DirBoth {
+					eids := g.OutEdgeIDs(v)
+					for i, u := range g.OutNeighbors(v) {
+						p := edgeParts[eids[i]]
+						scattered[p]++
+						if um := masters[u]; um >= 0 && machineOf[p] != machineOf[um] {
+							sigOut[p]++
+							sigIn[um]++
 						}
-					}
-					if scatterDir == DirIn || scatterDir == DirBoth {
-						nbrs := g.InNeighbors(v)
-						eids := g.InEdgeIDs(v)
-						for i, u := range nbrs {
-							p := int(a.EdgeParts[eids[i]])
-							ms.Work[p] += model.ScatterEdgeNs
-							ms.Edges++
-							um := a.Master(u)
-							if um >= 0 && cfg.MachineOf(p) != cfg.MachineOf(um) {
-								ms.Out[p] += sigB
-								ms.In[um] += sigB
-							}
-							nb.Set(int(u))
-						}
+						nb.Set(int(u))
 					}
 				}
-			})
+				if scatterDir == DirIn || scatterDir == DirBoth {
+					eids := g.InEdgeIDs(v)
+					for i, u := range g.InNeighbors(v) {
+						p := edgeParts[eids[i]]
+						scattered[p]++
+						if um := masters[u]; um >= 0 && machineOf[p] != machineOf[um] {
+							sigOut[p]++
+							sigIn[um]++
+						}
+						nb.Set(int(u))
+					}
+				}
+			}
+		})
 
+		edges, dynBytes := sh.Price(prices, work, inBytes, outBytes)
+		stats.EdgesProcessed += edges
 		before := run.SimSeconds
 		run.StepPartitioned(work, inBytes, outBytes)
 		stats.SuperstepSeconds = append(stats.SuperstepSeconds, run.SimSeconds-before)
@@ -458,63 +492,6 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 	stats.PeakMemGB = run.MaxPeakMemGB()
 	stats.CPUUtil = run.CPUUtilization()
 	return &Outcome[V]{Values: vals, Stats: stats}, nil
-}
-
-// forEachGatherSource calls fn for each partition that sends a partial
-// accumulator for v during gather, in ascending partition order.
-func forEachGatherSource(mode Mode, a *partition.Assignment, v graph.VertexID, gatherDir Direction, lowDegree bool, fn func(p int)) {
-	if mode == ModePowerGraph || !lowDegree {
-		// Every mirror participates in the distributed gather.
-		a.ForEachReplica(v, fn)
-		return
-	}
-	// PowerLyra low-degree: only partitions actually holding
-	// gather-direction edges contribute.
-	switch gatherDir {
-	case DirIn:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasInEdges(v, p) {
-				fn(p)
-			}
-		})
-	case DirOut:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasOutEdges(v, p) {
-				fn(p)
-			}
-		})
-	case DirBoth:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasInEdges(v, p) || a.HasOutEdges(v, p) {
-				fn(p)
-			}
-		})
-	}
-}
-
-// forEachSyncTarget calls fn for each partition the master pushes v's new
-// value to after apply, in ascending partition order.
-func forEachSyncTarget(mode Mode, a *partition.Assignment, v graph.VertexID, scatterDir Direction, lowDegree bool, fn func(p int)) {
-	if mode == ModePowerGraph || !lowDegree {
-		a.ForEachReplica(v, fn)
-		return
-	}
-	switch scatterDir {
-	case DirOut:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasOutEdges(v, p) {
-				fn(p)
-			}
-		})
-	case DirIn:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasInEdges(v, p) {
-				fn(p)
-			}
-		})
-	default:
-		a.ForEachReplica(v, fn)
-	}
 }
 
 // staticMemPerMachine computes each machine's steady compute-phase memory.

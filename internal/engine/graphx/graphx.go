@@ -8,6 +8,7 @@ package graphx
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
@@ -134,9 +135,10 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 
 	// ---- Pregel loop ----
 	// Iteration phases run on sharded workers exactly as in engine.Run:
-	// contiguous shards of the active/changed lists, per-shard meters
-	// merged in shard order, per-worker activation bitmaps merged by OR —
-	// byte-identical results for every worker count.
+	// contiguous shards of the active/changed lists, per-shard integer
+	// event counts summed and priced once per iteration, per-worker
+	// activation bitmaps merged by OR — byte-identical results for every
+	// worker count.
 	vals := make([]V, n)
 	newVals := make([]V, n)
 	active := make([]graph.VertexID, 0, n)
@@ -151,8 +153,14 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 	run := cluster.NewRun(cfg.Cluster, model)
 	gatherDir := prog.GatherDir()
 	scatterDir := prog.ScatterDir()
-	accB := float64(prog.AccBytes() + model.MsgOverheadBytes)
-	valB := float64(prog.ValueBytes() + model.MsgOverheadBytes)
+	prices := engine.Prices{
+		GatherEdgeNs: model.RDDEdgeNs,
+		ApplyNs:      model.ApplyVertexNs,
+		AccBytes:     float64(prog.AccBytes() + model.MsgOverheadBytes),
+		ValBytes:     float64(prog.ValueBytes() + model.MsgOverheadBytes),
+	}
+	gatherIn, gatherOut := engine.DirMasks(gatherDir)
+	machineOf := cfg.Cluster.MachineTable()
 
 	work := make([]float64, a.NumParts)
 	inBytes := make([]float64, a.NumParts)
@@ -167,17 +175,10 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 			stats.Converged = true
 			break
 		}
-		for p := 0; p < a.NumParts; p++ {
-			// Spark schedules one task per partition every iteration,
-			// whether or not it has active work — GraphX's constant
-			// per-iteration floor.
-			work[p] = model.TaskOverheadNs
-			inBytes[p], outBytes[p] = 0, 0
-		}
-
 		na := len(active)
-		changed, _, _ = sh.Meter(na, work, inBytes, outBytes, changed[:0],
+		changed = sh.Meter(na, changed[:0],
 			func(lo, hi int, ms *engine.Meters, ch []graph.VertexID) []graph.VertexID {
+				gathered, applies, accOut, accIn := ms.GatherEdges, ms.Applies, ms.AccOut, ms.AccIn
 				for _, v := range active[lo:hi] {
 					var acc A
 					hasAcc := false
@@ -188,7 +189,7 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 						} else {
 							acc, hasAcc = c, true
 						}
-						ms.Work[a.EdgeParts[eid]] += model.RDDEdgeNs
+						gathered[a.EdgeParts[eid]]++
 					}
 					if gatherDir == engine.DirIn || gatherDir == engine.DirBoth {
 						nbrs := g.InNeighbors(v)
@@ -214,24 +215,25 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 						}
 						continue
 					}
-					// aggregateMessages shuffle: each edge partition holding
-					// gather-direction edges of v sends one combined message to
-					// v's vertex partition (master).
-					a.ForEachReplica(v, func(p int) {
-						if p == master {
-							return
+					// aggregateMessages shuffle: each edge partition on another
+					// machine holding gather-direction edges of v sends one
+					// combined message to v's vertex partition (master).
+					mm := machineOf[master]
+					ins, outs := a.InEdgeBits(v), a.OutEdgeBits(v)
+					var sent int64
+					for wi := range ins {
+						for w := ins[wi]&gatherIn | outs[wi]&gatherOut; w != 0; w &= w - 1 {
+							if p := wi<<6 | bits.TrailingZeros64(w); machineOf[p] != mm {
+								accOut[p]++
+								sent++
+							}
 						}
-						holds := (gatherDir == engine.DirIn || gatherDir == engine.DirBoth) && a.HasInEdges(v, p) ||
-							(gatherDir == engine.DirOut || gatherDir == engine.DirBoth) && a.HasOutEdges(v, p)
-						if holds && cfg.Cluster.MachineOf(p) != cfg.Cluster.MachineOf(master) {
-							ms.Out[p] += accB
-							ms.In[master] += accB
-						}
-					})
+					}
+					accIn[master] += sent
 
 					nv, ch2 := prog.Apply(g, v, vals[v], acc, hasAcc)
 					newVals[v] = nv
-					ms.Work[master] += model.ApplyVertexNs
+					applies[master]++
 					if ch2 {
 						ch = append(ch, v)
 					}
@@ -248,20 +250,28 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 		// Vertex-value shipping: changed vertices broadcast their new
 		// value to every edge partition holding their edges (GraphX's
 		// routing tables) — the replication-factor-proportional cost.
-		sh.Scatter(len(changed), work, inBytes, outBytes, nextActive,
+		sh.Scatter(len(changed), nextActive,
 			func(lo, hi int, ms *engine.Meters, nb engine.Bitset) {
+				applies, valOut, valIn := ms.Applies, ms.ValOut, ms.ValIn
 				for _, v := range changed[lo:hi] {
-					master := a.Master(v)
-					a.ForEachReplica(v, func(p int) {
-						if p == master {
-							return
+					if master := a.Master(v); master >= 0 { // isolated vertices ship nothing
+						mm := machineOf[master]
+						var sent int64
+						for wi, w := range a.ReplicaBits(v) {
+							for ; w != 0; w &= w - 1 {
+								p := wi<<6 | bits.TrailingZeros64(w)
+								if p == master {
+									continue
+								}
+								applies[p]++
+								if machineOf[p] != mm {
+									valIn[p]++
+									sent++
+								}
+							}
 						}
-						ms.Work[p] += model.ApplyVertexNs
-						if cfg.Cluster.MachineOf(p) != cfg.Cluster.MachineOf(master) {
-							ms.Out[master] += valB
-							ms.In[p] += valB
-						}
-					})
+						valOut[master] += sent
+					}
 					if scatterDir == engine.DirOut || scatterDir == engine.DirBoth {
 						for _, u := range g.OutNeighbors(v) {
 							nb.Set(int(u))
@@ -275,11 +285,12 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 				}
 			})
 
-		// GC overhead inflates CPU work.
-		if gcMult != 1 {
-			for p := range work {
-				work[p] *= gcMult
-			}
+		sh.Price(prices, work, inBytes, outBytes)
+		for p := range work {
+			// Spark schedules one task per partition every iteration,
+			// whether or not it has active work — GraphX's constant
+			// per-iteration floor. GC overhead inflates all CPU work.
+			work[p] = (model.TaskOverheadNs + work[p]) * gcMult
 		}
 		before := run.SimSeconds
 		run.StepPartitioned(work, inBytes, outBytes)

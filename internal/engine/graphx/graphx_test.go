@@ -245,3 +245,24 @@ func TestGraphXParallelDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphXIsolatedVertices: isolated vertices (Master < 0) change under
+// Apply like any other, but hold no replicas, so they ship no value and
+// charge no traffic.
+func TestGraphXIsolatedVertices(t *testing.T) {
+	g := graph.FromEdges("gx-isolated", []graph.Edge{
+		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 5, Dst: 6},
+	})
+	cc := cluster.GraphXLocal9
+	a := gxAssignment(t, g, "CanonicalRandom", cc)
+	out, err := graphx.Run[float64, float64](app.PageRank{}, a, graphx.Config{Cluster: cc, Iterations: 3}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := float64(app.DefaultDamping)
+	for _, v := range []graph.VertexID{3, 4} {
+		if want := (1 - d) + d*0; out.Values[v] != want {
+			t.Errorf("isolated vertex %d: PageRank = %v, want the (1−d) floor %v", v, out.Values[v], want)
+		}
+	}
+}

@@ -207,10 +207,16 @@ func (a *Assignment) Replicas(v graph.VertexID) int { return a.replicas.count(in
 // HasReplica reports whether partition p holds a replica of v.
 func (a *Assignment) HasReplica(v graph.VertexID, p int) bool { return a.replicas.has(int(v), p) }
 
-// ForEachReplica calls fn for each partition holding a replica of v.
-func (a *Assignment) ForEachReplica(v graph.VertexID, fn func(p int)) {
-	a.replicas.forEach(int(v), fn)
-}
+// ReplicaBits returns v's replica set as a bit row: bit p%64 of word p/64 is
+// set when partition p holds a replica of v. The row aliases the
+// assignment; callers must not modify it.
+func (a *Assignment) ReplicaBits(v graph.VertexID) []uint64 { return a.replicas.row(int(v)) }
+
+// InEdgeBits is ReplicaBits for the partitions holding ≥1 in-edge of v.
+func (a *Assignment) InEdgeBits(v graph.VertexID) []uint64 { return a.inEdgeParts.row(int(v)) }
+
+// OutEdgeBits is ReplicaBits for the partitions holding ≥1 out-edge of v.
+func (a *Assignment) OutEdgeBits(v graph.VertexID) []uint64 { return a.outEdgeParts.row(int(v)) }
 
 // Master returns the master partition of v, or -1 if v is isolated.
 func (a *Assignment) Master(v graph.VertexID) int { return int(a.Masters[v]) }
@@ -220,12 +226,6 @@ func (a *Assignment) InEdgePartCount(v graph.VertexID) int { return a.inEdgePart
 
 // OutEdgePartCount returns how many partitions hold at least one out-edge of v.
 func (a *Assignment) OutEdgePartCount(v graph.VertexID) int { return a.outEdgeParts.count(int(v)) }
-
-// HasInEdges reports whether partition p holds ≥1 in-edge of v.
-func (a *Assignment) HasInEdges(v graph.VertexID, p int) bool { return a.inEdgeParts.has(int(v), p) }
-
-// HasOutEdges reports whether partition p holds ≥1 out-edge of v.
-func (a *Assignment) HasOutEdges(v graph.VertexID, p int) bool { return a.outEdgeParts.has(int(v), p) }
 
 // InEdgesLocalToMaster reports whether every in-edge of v lives on v's
 // master partition — the condition under which PowerLyra's hybrid engine
