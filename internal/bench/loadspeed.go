@@ -116,7 +116,7 @@ func loadSpeed() Experiment {
 					{"text/load", func() error { _, err := graph.LoadFile(formats[0].path); return err }},
 					{"csrg-v1/mmap", func() error { _, err := graph.LoadCSR(v1); return err }},
 					{"csrg-v1/read", func() error {
-						_, err := graph.LoadCSRWith(v1, graph.CSRLoadOptions{DisableMmap: true, Workers: cfg.Workers})
+						_, err := graph.LoadCSRWith(v1, graph.CSRLoadOptions{DisableMmap: true})
 						return err
 					}},
 					{"csrg-v2/load", func() error { _, err := graph.LoadCSR(formats[2].path); return err }},

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 )
 
@@ -26,9 +27,16 @@ import (
 //     exactly that where the platform allows). Optionally the prebuilt CSR
 //     adjacency sections follow the edges, making EnsureCSR free after load.
 //   - version 2 stores the edge list as delta+varint-compressed blocks
-//     (see csr_v2.go): files are several times smaller and the per-block
-//     headers let independent blocks decode on parallel workers. v2 files
-//     carry no adjacency sections; readers rebuild adjacency lazily.
+//     (see csr_v2.go): files are several times smaller, and because every
+//     block decodes on its own LoadCSR spreads them over GOMAXPROCS
+//     workers. v2 files carry no adjacency sections; readers rebuild
+//     adjacency lazily.
+//
+// Each job has one code path: WriteCSRVersion writes a whole graph,
+// CSRWriter streams edges to a file, decodeCSRData decodes a whole file
+// (read or mapped) and streamCSR decodes one sequentially in O(batch)
+// memory. The two v2 writers share one block emitter, the two v2 readers
+// one block-header validator, and the two stream versions one footer tail.
 //
 // Layout (all integers little-endian):
 //
@@ -77,10 +85,6 @@ const (
 	CSRVersion2 = 2
 )
 
-// CSRVersion is the default version written by WriteCSR and SaveCSR — the
-// fixed-width v1 layout, which keeps the zero-copy mmap load path available.
-const CSRVersion = CSRVersion1
-
 // CSRExt is the conventional file extension for the binary graph format.
 const CSRExt = ".csrg"
 
@@ -99,26 +103,78 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // --- writing ----------------------------------------------------------
 
-// WriteCSR writes g in .csrg v1 form, including the CSR adjacency sections
-// so a later LoadCSR returns a graph whose EnsureCSR is a no-op. The edge
-// section preserves g.Edges order exactly.
-func WriteCSR(g *Graph, w io.Writer) error {
+// checkWriterVersion rejects a version no writer produces.
+func checkWriterVersion(name string, version int) error {
+	if version != CSRVersion1 && version != CSRVersion2 {
+		return fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", name, version, CSRVersion1, CSRVersion2)
+	}
+	return nil
+}
+
+// crcWriter buffers payload bytes into w while folding them into the
+// running payload checksum. Every writer emits its payload through one.
+type crcWriter struct {
+	w   *bufio.Writer
+	crc uint32
+}
+
+func (c *crcWriter) write(chunk []byte) error {
+	c.crc = crc32.Update(c.crc, castagnoli, chunk)
+	_, err := c.w.Write(chunk)
+	return err
+}
+
+// footer appends the checksum footer.
+func (c *crcWriter) footer() error {
+	var foot [4]byte
+	binary.LittleEndian.PutUint32(foot[:], c.crc)
+	_, err := c.w.Write(foot[:])
+	return err
+}
+
+// WriteCSRVersion writes g in the requested .csrg format version. Version 1
+// is the fixed-width mmap-able layout and includes the CSR adjacency
+// sections, so a later LoadCSR returns a graph whose EnsureCSR is a no-op.
+// Version 2 is the compressed block layout: smaller files and no adjacency
+// sections (readers rebuild them lazily). Either way the edge section
+// preserves g.Edges order exactly.
+func WriteCSRVersion(g *Graph, w io.Writer, version int) error {
+	if err := checkWriterVersion(g.Name, version); err != nil {
+		return err
+	}
 	m := g.NumEdges()
 	if m > csrMaxEdges {
 		return fmt.Errorf("csrg %s: %d edges exceed the int32 edge-id space", g.Name, m)
 	}
-	g.EnsureCSR()
+	flags := uint16(0)
+	if version == CSRVersion1 {
+		g.EnsureCSR()
+		flags = csrFlagHasCSR
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := writeCSRHeader(bw, g.Name, CSRVersion1, csrFlagHasCSR, uint64(g.NumVertices()), uint64(m)); err != nil {
+	if _, err := writeCSRHeader(bw, g.Name, uint16(version), flags, uint64(g.NumVertices()), uint64(m)); err != nil {
 		return err
 	}
-	crc := uint32(0)
-	sink := func(chunk []byte) error {
-		crc = crc32.Update(crc, castagnoli, chunk)
-		_, err := bw.Write(chunk)
+	cw := &crcWriter{w: bw}
+	var err error
+	if version == CSRVersion1 {
+		err = writeV1Payload(g, cw)
+	} else {
+		err = writeV2Payload(g.Edges, cw)
+	}
+	if err != nil {
 		return err
 	}
-	if err := encodeEdges(g.Edges, sink); err != nil {
+	if err := cw.footer(); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// writeV1Payload writes the fixed-width edge section and the adjacency
+// sections g.EnsureCSR built.
+func writeV1Payload(g *Graph, cw *crcWriter) error {
+	if err := encodeEdges(g.Edges, cw.write); err != nil {
 		return err
 	}
 	for _, sec := range []struct {
@@ -130,39 +186,15 @@ func WriteCSR(g *Graph, w io.Writer) error {
 	} {
 		var err error
 		if sec.u != nil {
-			err = encode32s(sec.u, sink)
+			err = encode32s(sec.u, cw.write)
 		} else {
-			err = encode32s(sec.i, sink)
+			err = encode32s(sec.i, cw.write)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc)
-	if _, err := bw.Write(foot[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteCSRVersion writes g in the requested .csrg format version: 1 for the
-// fixed-width mmap-able layout (with prebuilt adjacency sections), 2 for the
-// compressed block layout (smaller files, parallel decode, no adjacency).
-func WriteCSRVersion(g *Graph, w io.Writer, version int) error {
-	switch version {
-	case CSRVersion1:
-		return WriteCSR(g, w)
-	case CSRVersion2:
-		return WriteCSR2(g, w)
-	default:
-		return fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", g.Name, version, CSRVersion1, CSRVersion2)
-	}
-}
-
-// SaveCSR writes g to a .csrg v1 file at path.
-func SaveCSR(g *Graph, path string) error {
-	return SaveCSRVersion(g, path, CSRVersion1)
+	return nil
 }
 
 // SaveCSRVersion writes g to a .csrg file at path in the given format version.
@@ -311,15 +343,32 @@ func decodeCSRHeader(src string, b []byte) (csrHeader, int, error) {
 	return h, end, nil
 }
 
+// checkCRC rejects a payload whose checksum does not match the footer.
+func checkCRC(src string, got, stored uint32) error {
+	if got != stored {
+		return fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", src, got, stored)
+	}
+	return nil
+}
+
+// checkVertexCount rejects a header vertex count other than max edge id + 1:
+// writers derive the vertex set from the edges, so anything else — including
+// vertices declared for an edgeless file — is corruption.
+func checkVertexCount(src string, numEdges int64, maxID VertexID, numVertices uint64) error {
+	if numEdges > 0 && uint64(maxID)+1 != numVertices {
+		return fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", src, numVertices, maxID)
+	}
+	if numEdges == 0 && numVertices != 0 {
+		return fmt.Errorf("csrg %s: %d vertices with no edges (writers derive the vertex set from edges)", src, numVertices)
+	}
+	return nil
+}
+
 // CSRLoadOptions tunes LoadCSRWith.
 type CSRLoadOptions struct {
 	// DisableMmap forces the portable read-everything path even where the
 	// zero-copy memory-mapped path is available.
 	DisableMmap bool
-	// Workers bounds the goroutines decoding v2 edge blocks (≤0 means
-	// GOMAXPROCS). v1 decoding is a bulk copy (or a zero-copy alias) and
-	// ignores it.
-	Workers int
 }
 
 // LoadCSR reads a .csrg file through the fastest path the platform offers:
@@ -327,7 +376,7 @@ type CSRLoadOptions struct {
 // sliced in place without copying (the payload checksum is still verified);
 // elsewhere — or when the mapping fails — the whole file is read in one call
 // and decoded with bulk fixed-width conversions. v2 files decode their
-// compressed edge blocks on parallel workers either way.
+// compressed edge blocks on GOMAXPROCS workers either way.
 func LoadCSR(path string) (*Graph, error) {
 	return LoadCSRWith(path, CSRLoadOptions{})
 }
@@ -335,8 +384,10 @@ func LoadCSR(path string) (*Graph, error) {
 // LoadCSRWith is LoadCSR with explicit path selection — benchmarks use it to
 // pin the portable read path against the mmap path.
 func LoadCSRWith(path string, o CSRLoadOptions) (*Graph, error) {
-	if !o.DisableMmap && MmapSupported() {
-		if g, err, handled := loadCSRMmap(path, o); handled {
+	//graphlint:nondet v2 decode worker count only; output is worker-count-independent (csr_v2_test.go)
+	workers := runtime.GOMAXPROCS(0)
+	if !o.DisableMmap && mmapSupported() {
+		if g, err, handled := loadCSRMmap(path, workers); handled {
 			return g, err
 		}
 		// The mapping did not engage (empty file, mmap failure): fall
@@ -346,14 +397,14 @@ func LoadCSRWith(path string, o CSRLoadOptions) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeCSRData(path, data, o, nil)
+	return decodeCSRData(path, data, nil, workers)
 }
 
 // loadCSRMmap maps the file and decodes from the mapping. handled is false
 // when mmap could not engage and the caller should fall back; when true, g
 // and err are the final result. A graph that aliases the mapping pins it via
 // g.mmap (unmapped by finalizer); otherwise the mapping is released here.
-func loadCSRMmap(path string, o CSRLoadOptions) (g *Graph, err error, handled bool) {
+func loadCSRMmap(path string, workers int) (g *Graph, err error, handled bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err, true
@@ -370,7 +421,7 @@ func loadCSRMmap(path string, o CSRLoadOptions) (g *Graph, err error, handled bo
 	if err != nil {
 		return nil, nil, false
 	}
-	g, err = decodeCSRData(path, ref.data, o, ref)
+	g, err = decodeCSRData(path, ref.data, ref, workers)
 	if err != nil || g.mmap == nil {
 		// Decode failed, or nothing aliased the mapping (v2, misaligned
 		// legacy header): release it now instead of waiting for the GC.
@@ -379,34 +430,26 @@ func loadCSRMmap(path string, o CSRLoadOptions) (g *Graph, err error, handled bo
 	return g, err, true
 }
 
-// ReadCSR reads a .csrg document from r (buffering it fully).
-func ReadCSR(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeCSRData("stream", data, CSRLoadOptions{}, nil)
-}
-
-// decodeCSRData decodes a whole in-memory (or memory-mapped) .csrg file.
-// When ref is non-nil, data is a read-only mapping the result may alias:
-// sections that can be reinterpreted in place (little-endian host, aligned
-// payload) become views into the mapping and g.mmap pins it.
-func decodeCSRData(src string, data []byte, o CSRLoadOptions, ref *mmapRef) (*Graph, error) {
+// decodeCSRData decodes a whole in-memory (or memory-mapped) .csrg file;
+// v2 blocks decode on up to workers goroutines. When ref is non-nil, data is
+// a read-only mapping the result may alias: sections that can be
+// reinterpreted in place (little-endian host, aligned payload) become views
+// into the mapping and g.mmap pins it.
+func decodeCSRData(src string, data []byte, ref *mmapRef, workers int) (*Graph, error) {
 	h, off, err := decodeCSRHeader(src, data)
 	if err != nil {
 		return nil, err
 	}
 	if h.version == CSRVersion2 {
-		return decodeCSRv2(src, data, off, h, o)
+		return decodeCSRv2(src, data, off, h, workers)
 	}
 	want := int64(off) + h.payloadLen() + 4
 	if int64(len(data)) != want {
 		return nil, fmt.Errorf("csrg %s: truncated or oversized file: %d bytes, header implies %d", src, len(data), want)
 	}
 	payload := data[off : len(data)-4]
-	if got, stored := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[len(data)-4:]); got != stored {
-		return nil, fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", src, got, stored)
+	if err := checkCRC(src, crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[len(data)-4:])); err != nil {
+		return nil, err
 	}
 
 	n := int(h.numVertices)
@@ -431,11 +474,8 @@ func decodeCSRData(src string, data []byte, o CSRLoadOptions, ref *mmapRef) (*Gr
 			return nil, err
 		}
 	}
-	if m > 0 && int(maxID)+1 != n {
-		return nil, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", src, n, maxID)
-	}
-	if m == 0 && n != 0 {
-		return nil, fmt.Errorf("csrg %s: %d vertices with no edges (writers derive the vertex set from edges)", src, n)
+	if err := checkVertexCount(src, int64(m), maxID, h.numVertices); err != nil {
+		return nil, err
 	}
 	g := &Graph{Name: h.name, Edges: edges, numVertices: n}
 
@@ -447,37 +487,12 @@ func decodeCSRData(src string, data []byte, o CSRLoadOptions, ref *mmapRef) (*Gr
 		return g, nil
 	}
 	rest := payload[8*m:]
-	next := func(entries int) []byte {
-		sec := rest[:4*entries]
-		rest = rest[4*entries:]
-		return sec
-	}
-	nextIndex := func(entries int) []int32 {
-		sec := next(entries)
-		if ref != nil {
-			if v := i32View(sec); v != nil {
-				aliased = true
-				return v
-			}
-		}
-		return decodeIndexSection(sec)
-	}
-	nextU32 := func(entries int) []uint32 {
-		sec := next(entries)
-		if ref != nil {
-			if v := u32View(sec); v != nil {
-				aliased = true
-				return v
-			}
-		}
-		return decodeU32Section(sec)
-	}
-	g.outIndex = nextIndex(n + 1)
-	g.outAdj = nextU32(m)
-	g.outEdge = nextIndex(m)
-	g.inIndex = nextIndex(n + 1)
-	g.inAdj = nextU32(m)
-	g.inEdge = nextIndex(m)
+	g.outIndex = section32[int32](&rest, n+1, ref, &aliased)
+	g.outAdj = section32[uint32](&rest, m, ref, &aliased)
+	g.outEdge = section32[int32](&rest, m, ref, &aliased)
+	g.inIndex = section32[int32](&rest, n+1, ref, &aliased)
+	g.inAdj = section32[uint32](&rest, m, ref, &aliased)
+	g.inEdge = section32[int32](&rest, m, ref, &aliased)
 	if err := g.validateCSRSections(src); err != nil {
 		return nil, err
 	}
@@ -515,7 +530,7 @@ func scanEdgeIDs(src string, edges []Edge, numVertices uint64) (VertexID, error)
 // decodeEdgeChunk decodes len(b)/8 interleaved (src,dst) records from b
 // into out, bounds-checking every endpoint against the declared vertex
 // count and folding ids into maxID. base is the global index of out[0],
-// for error messages. Both the bulk loader and StreamCSR decode through
+// for error messages. Both the bulk loader and streamCSR decode through
 // this one loop so the paths cannot diverge.
 func decodeEdgeChunk(src string, b []byte, numVertices uint64, base int64, out []Edge, maxID *VertexID) error {
 	m := len(b) / 8
@@ -546,18 +561,21 @@ func decodeEdgeSection(src string, b []byte, numVertices uint32) ([]Edge, Vertex
 	return edges, maxID, nil
 }
 
-func decodeU32Section(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
+// section32 consumes the next entries-long 32-bit section from *rest: a
+// view into the mapping when ref is set and the view engages (recording
+// that in *aliased), a decoded copy otherwise.
+func section32[T int32 | uint32](rest *[]byte, entries int, ref *mmapRef, aliased *bool) []T {
+	sec := (*rest)[:4*entries]
+	*rest = (*rest)[4*entries:]
+	if ref != nil {
+		if v := view32[T](sec); v != nil {
+			*aliased = true
+			return v
+		}
 	}
-	return out
-}
-
-func decodeIndexSection(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
+	out := make([]T, entries)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		out[i] = T(binary.LittleEndian.Uint32(sec[4*i:]))
 	}
 	return out
 }
@@ -599,101 +617,133 @@ func (g *Graph) validateCSRSections(src string) error {
 
 // --- streaming --------------------------------------------------------
 
-// StreamCSR is StreamEdgeList for the binary format: it reads the edge
+// csrStream is one sequential pass over a .csrg stream: the payload is read
+// in file order through the checksum, and decoded edges reach fn in
+// batches of at most batchSize, from the calling goroutine.
+type csrStream struct {
+	name      string
+	br        *bufio.Reader
+	h         csrHeader
+	batchSize int
+	fn        func(offset int64, edges []Edge) error
+	crc       uint32
+	total     int64 // edges delivered to fn
+	maxID     VertexID
+	scratch   [8]byte // block headers and the footer; a local would escape per read
+}
+
+// streamCSR is StreamEdgeList for the binary format: it reads the edge
 // section of a .csrg stream (either version) in batches of batchSize edges,
 // calling fn with each batch's global offset. Memory stays O(batchSize) for
 // v1 and O(block) for v2. Any v1 CSR adjacency sections are read through
 // (and the payload checksum verified) after the edges are delivered.
 //
 // It returns the total edge count and the maximum vertex id seen.
-func StreamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
-	return StreamCSRParallel(name, r, batchSize, 1, fn)
-}
-
-// StreamCSRParallel is StreamCSR with the v2 block decode fanned out over up
-// to `workers` goroutines (≤0 means GOMAXPROCS); batches are still delivered
-// to fn in stream order, from one goroutine. v1 streams have no independent
-// blocks, so they always decode sequentially.
-func StreamCSRParallel(name string, r io.Reader, batchSize, workers int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
+func streamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdrFixed := make([]byte, csrHeaderFixed)
-	if _, err := io.ReadFull(br, hdrFixed); err != nil {
-		return 0, 0, fmt.Errorf("csrg %s: reading header: %w", name, err)
+	s := &csrStream{name: name, br: bufio.NewReaderSize(r, 1<<20), batchSize: batchSize, fn: fn}
+	err := s.header()
+	if err == nil {
+		if s.h.version == CSRVersion2 {
+			err = s.v2Edges()
+		} else {
+			err = s.v1Edges()
+		}
 	}
-	nameLen := binary.LittleEndian.Uint32(hdrFixed[24:28])
-	if nameLen > csrMaxNameLen {
-		return 0, 0, fmt.Errorf("csrg %s: implausible name length %d", name, nameLen)
+	if err == nil {
+		err = s.finish()
 	}
-	full := make([]byte, csrHeaderFixed+int(nameLen))
-	copy(full, hdrFixed)
-	if _, err := io.ReadFull(br, full[csrHeaderFixed:]); err != nil {
-		return 0, 0, fmt.Errorf("csrg %s: reading header name: %w", name, err)
-	}
-	h, _, err := decodeCSRHeader(name, full)
+	return s.total, s.maxID, err
+}
+
+// header decodes the stream's header and advances past it.
+func (s *csrStream) header() error {
+	b, err := s.br.Peek(csrHeaderFixed)
 	if err != nil {
-		return 0, 0, err
+		return fmt.Errorf("csrg %s: reading header: %w", s.name, err)
 	}
-	if h.version == CSRVersion2 {
-		return streamCSRv2(name, br, h, batchSize, workers, fn)
+	if nameLen := binary.LittleEndian.Uint32(b[24:28]); nameLen <= csrMaxNameLen {
+		if b, err = s.br.Peek(csrHeaderFixed + int(nameLen)); err != nil {
+			return fmt.Errorf("csrg %s: reading header name: %w", s.name, err)
+		}
 	}
+	h, n, err := decodeCSRHeader(s.name, b)
+	if err != nil {
+		return err
+	}
+	s.h = h
+	_, err = s.br.Discard(n)
+	return err
+}
 
-	crc := uint32(0)
-	m := int64(h.numEdges)
-	var total int64
-	var maxID VertexID
-	bufp := getByteBuf(8 * batchSize)
+// fill reads exactly len(b) payload bytes and folds them into the checksum.
+func (s *csrStream) fill(b []byte) error {
+	if _, err := io.ReadFull(s.br, b); err != nil {
+		return err
+	}
+	s.crc = crc32.Update(s.crc, castagnoli, b)
+	return nil
+}
+
+// emit hands decoded edges to fn in batches of at most batchSize.
+func (s *csrStream) emit(edges []Edge) error {
+	for len(edges) > 0 {
+		n := min(len(edges), s.batchSize)
+		if err := s.fn(s.total, edges[:n]); err != nil {
+			return err
+		}
+		s.total += int64(n)
+		edges = edges[n:]
+	}
+	return nil
+}
+
+// v1Edges decodes the fixed-width edge section one batch at a time, then
+// reads any adjacency sections through the checksum.
+func (s *csrStream) v1Edges() error {
+	bufp := getByteBuf(8 * s.batchSize)
 	defer putByteBuf(bufp)
-	buf := (*bufp)[:8*batchSize]
-	batchp := getEdgeBuf(batchSize)
+	buf := (*bufp)[:8*s.batchSize]
+	batchp := getEdgeBuf(s.batchSize)
 	defer putEdgeBuf(batchp)
-	batch := (*batchp)[:batchSize]
-	for total < m {
-		want := m - total
-		if want > int64(batchSize) {
-			want = int64(batchSize)
-		}
+	batch := (*batchp)[:s.batchSize]
+	m := int64(s.h.numEdges)
+	for s.total < m {
+		want := min(m-s.total, int64(s.batchSize))
 		chunk := buf[:8*want]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return total, maxID, fmt.Errorf("csrg %s: truncated edge section at edge %d of %d: %w", name, total, m, err)
+		if err := s.fill(chunk); err != nil {
+			return fmt.Errorf("csrg %s: truncated edge section at edge %d of %d: %w", s.name, s.total, m, err)
 		}
-		crc = crc32.Update(crc, castagnoli, chunk)
-		if err := decodeEdgeChunk(name, chunk, h.numVertices, total, batch[:want], &maxID); err != nil {
-			return total, maxID, err
+		if err := decodeEdgeChunk(s.name, chunk, s.h.numVertices, s.total, batch[:want], &s.maxID); err != nil {
+			return err
 		}
-		if err := fn(total, batch[:want]); err != nil {
-			return total, maxID, err
+		if err := s.emit(batch[:want]); err != nil {
+			return err
 		}
-		total += want
 	}
-
-	// Consume any trailing CSR sections so the payload checksum can be
-	// verified end to end, then check the footer.
-	remaining := h.payloadLen() - 8*m
-	for remaining > 0 {
-		want := int64(len(buf))
-		if want > remaining {
-			want = remaining
+	for remaining := s.h.payloadLen() - 8*m; remaining > 0; {
+		want := min(int64(len(buf)), remaining)
+		if err := s.fill(buf[:want]); err != nil {
+			return fmt.Errorf("csrg %s: truncated CSR sections: %w", s.name, err)
 		}
-		if _, err := io.ReadFull(br, buf[:want]); err != nil {
-			return total, maxID, fmt.Errorf("csrg %s: truncated CSR sections: %w", name, err)
-		}
-		crc = crc32.Update(crc, castagnoli, buf[:want])
 		remaining -= want
 	}
-	var foot [4]byte
-	if _, err := io.ReadFull(br, foot[:]); err != nil {
-		return total, maxID, fmt.Errorf("csrg %s: missing checksum footer: %w", name, err)
+	return nil
+}
+
+// finish is the tail both versions share: the footer must hold the payload
+// checksum, and the header's vertex count must match the edges delivered.
+func (s *csrStream) finish() error {
+	foot := s.scratch[:4]
+	if _, err := io.ReadFull(s.br, foot); err != nil {
+		return fmt.Errorf("csrg %s: missing checksum footer: %w", s.name, err)
 	}
-	if stored := binary.LittleEndian.Uint32(foot[:]); stored != crc {
-		return total, maxID, fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", name, crc, stored)
+	if err := checkCRC(s.name, s.crc, binary.LittleEndian.Uint32(foot)); err != nil {
+		return err
 	}
-	if total > 0 && int64(maxID)+1 != int64(h.numVertices) {
-		return total, maxID, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", name, h.numVertices, maxID)
-	}
-	return total, maxID, nil
+	return checkVertexCount(s.name, s.total, s.maxID, s.h.numVertices)
 }
 
 // CSRWriter is the streaming side of the binary format: it converts an edge
@@ -703,11 +753,10 @@ func StreamCSRParallel(name string, r io.Reader, batchSize, workers int, fn func
 // rebuild adjacency lazily, exactly as with text edge lists.
 type CSRWriter struct {
 	ws      io.WriteSeeker
-	bw      *bufio.Writer
+	cw      crcWriter
 	name    string
 	version int
 	hdrLen  int // payload start; v2 patches numBlocks here on Close
-	crc     uint32
 	edges   int64
 	maxID   VertexID
 	closed  bool
@@ -720,21 +769,15 @@ type CSRWriter struct {
 	numBlocks uint32
 }
 
-// NewCSRWriter starts a v1 .csrg document on ws (typically an *os.File) and
-// writes a placeholder header.
-func NewCSRWriter(ws io.WriteSeeker, name string) (*CSRWriter, error) {
-	return NewCSRWriterVersion(ws, name, CSRVersion1)
-}
-
-// NewCSRWriterVersion is NewCSRWriter with an explicit format version:
-// version 2 streams delta+varint-compressed edge blocks instead of
-// fixed-width records.
+// NewCSRWriterVersion starts a .csrg document of the given format version
+// on ws (typically an *os.File) and writes a placeholder header. Version 1
+// streams fixed-width records, version 2 delta+varint-compressed blocks.
 func NewCSRWriterVersion(ws io.WriteSeeker, name string, version int) (*CSRWriter, error) {
-	if version != CSRVersion1 && version != CSRVersion2 {
-		return nil, fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", name, version, CSRVersion1, CSRVersion2)
+	if err := checkWriterVersion(name, version); err != nil {
+		return nil, err
 	}
-	w := &CSRWriter{ws: ws, bw: bufio.NewWriterSize(ws, 1<<20), name: name, version: version}
-	n, err := writeCSRHeader(w.bw, name, uint16(version), 0, 0, 0)
+	w := &CSRWriter{ws: ws, cw: crcWriter{w: bufio.NewWriterSize(ws, 1<<20)}, name: name, version: version}
+	n, err := writeCSRHeader(w.cw.w, name, uint16(version), 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -743,18 +786,12 @@ func NewCSRWriterVersion(ws io.WriteSeeker, name string, version int) (*CSRWrite
 		// Placeholder block count, patched on Close. Written outside the
 		// CRC — the v2 checksum starts after this field (see format doc).
 		var quad [4]byte
-		if _, err := w.bw.Write(quad[:]); err != nil {
+		if _, err := w.cw.w.Write(quad[:]); err != nil {
 			return nil, err
 		}
 		w.block = make([]Edge, 0, csrV2BlockEdges)
 	}
 	return w, nil
-}
-
-func (w *CSRWriter) sink(chunk []byte) error {
-	w.crc = crc32.Update(w.crc, castagnoli, chunk)
-	_, err := w.bw.Write(chunk)
-	return err
 }
 
 // Append writes one batch of edges. The slice is not retained.
@@ -779,10 +816,7 @@ func (w *CSRWriter) Append(edges []Edge) error {
 	}
 	if w.version == CSRVersion2 {
 		for len(edges) > 0 {
-			take := csrV2BlockEdges - len(w.block)
-			if take > len(edges) {
-				take = len(edges)
-			}
+			take := min(csrV2BlockEdges-len(w.block), len(edges))
 			w.block = append(w.block, edges[:take]...)
 			edges = edges[take:]
 			w.edges += int64(take)
@@ -794,24 +828,18 @@ func (w *CSRWriter) Append(edges []Edge) error {
 		}
 		return nil
 	}
-	w.err = encodeEdges(edges, w.sink)
+	w.err = encodeEdges(edges, w.cw.write)
 	w.edges += int64(len(edges))
 	return w.err
 }
 
-// flushBlock compresses and writes the pending v2 block.
+// flushBlock writes the pending v2 block.
 func (w *CSRWriter) flushBlock() error {
 	if len(w.block) == 0 {
 		return nil
 	}
-	w.enc = appendV2Block(w.enc[:0], w.block)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(w.block)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(w.enc)))
-	if err := w.sink(hdr[:]); err != nil {
-		return err
-	}
-	if err := w.sink(w.enc); err != nil {
+	var err error
+	if w.enc, err = w.cw.writeV2Block(w.enc, w.block); err != nil {
 		return err
 	}
 	w.numBlocks++
@@ -831,17 +859,13 @@ func (w *CSRWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.version == CSRVersion2 {
-		if err := w.flushBlock(); err != nil {
-			return err
-		}
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], w.crc)
-	if _, err := w.bw.Write(foot[:]); err != nil {
+	if err := w.flushBlock(); err != nil {
 		return err
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.cw.footer(); err != nil {
+		return err
+	}
+	if err := w.cw.w.Flush(); err != nil {
 		return err
 	}
 	end, err := w.ws.Seek(0, io.SeekEnd)
@@ -913,41 +937,30 @@ func CSRFileVersion(path string) (version int, ok bool, err error) {
 	return int(v), bin, err
 }
 
-// errUnsupportedVersion names an unsupported binary version the same way
-// decodeCSRHeader does, for dispatchers that reject before decoding.
-func errUnsupportedVersion(path string, version uint16) error {
-	return fmt.Errorf("csrg %s: unsupported format version %d (reader supports %d–%d)", path, version, CSRVersion1, CSRVersion2)
-}
-
 // LoadFile loads a graph from path in whichever format the file holds,
-// sniffing the .csrg magic and version: v1/v2 binary files go through
-// LoadCSR, unknown binary versions fail by name, everything else goes
-// through the text edge-list parser.
+// sniffing the .csrg magic: binary files go through LoadCSR (which names
+// an unsupported version), everything else through the text edge-list
+// parser.
 func LoadFile(path string) (*Graph, error) {
-	bin, ver, err := sniffCSR(path)
+	bin, _, err := sniffCSR(path)
 	if err != nil {
 		return nil, err
 	}
 	if bin {
-		if ver < CSRVersion1 || ver > CSRVersion2 {
-			return nil, errUnsupportedVersion(path, ver)
-		}
 		return LoadCSR(path)
 	}
 	return LoadEdgeList(path)
 }
 
 // StreamFile streams a graph file batch-by-batch in whichever format the
-// file holds — the binary fast path via StreamCSR, text via StreamEdgeList —
-// with the same contract as both: fn sees every edge in stream order, memory
-// stays O(batchSize), and the totals are returned.
+// file holds — the binary decoder for .csrg, StreamEdgeList for text — with
+// the same contract as StreamEdgeList: fn sees every edge in stream order
+// from the calling goroutine, memory stays O(batchSize), and the totals
+// are returned.
 func StreamFile(path string, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
-	bin, ver, err := sniffCSR(path)
+	bin, _, err := sniffCSR(path)
 	if err != nil {
 		return 0, 0, err
-	}
-	if bin && (ver < CSRVersion1 || ver > CSRVersion2) {
-		return 0, 0, errUnsupportedVersion(path, ver)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -955,7 +968,7 @@ func StreamFile(path string, batchSize int, fn func(offset int64, edges []Edge) 
 	}
 	defer f.Close()
 	if bin {
-		return StreamCSR(path, f, batchSize, fn)
+		return streamCSR(path, f, batchSize, fn)
 	}
 	return StreamEdgeList(path, f, batchSize, fn)
 }

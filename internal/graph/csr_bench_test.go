@@ -59,7 +59,7 @@ func benchFiles(b *testing.B) (textPath, csrPath string) {
 		if benchErr = SaveEdgeList(g, filepath.Join(benchDir, "g.txt")); benchErr != nil {
 			return
 		}
-		if benchErr = SaveCSR(g, filepath.Join(benchDir, "g.csrg")); benchErr != nil {
+		if benchErr = SaveCSRVersion(g, filepath.Join(benchDir, "g.csrg"), CSRVersion1); benchErr != nil {
 			return
 		}
 		benchErr = SaveCSRVersion(g, filepath.Join(benchDir, "g.v2.csrg"), CSRVersion2)
@@ -117,7 +117,7 @@ func BenchmarkLoadEdgeListText(b *testing.B) {
 // (CRC) and the sections are aliased in place, so the op cost is dominated
 // by the checksum scan and the bounds-check pass.
 func BenchmarkLoadCSRMmap(b *testing.B) {
-	if !MmapSupported() {
+	if !mmapSupported() {
 		b.Skip("mmap path unavailable on this platform")
 	}
 	_, csrPath := benchFiles(b)
@@ -151,7 +151,8 @@ func BenchmarkLoadCSRRead(b *testing.B) {
 	reportLoadMetrics(b, csrPath)
 }
 
-// BenchmarkLoadCSRv2 loads the compressed form (parallel block decode).
+// BenchmarkLoadCSRv2 loads the compressed form (block decode on
+// GOMAXPROCS workers).
 func BenchmarkLoadCSRv2(b *testing.B) {
 	benchFiles(b)
 	v2Path := filepath.Join(benchDir, "g.v2.csrg")
@@ -168,22 +169,17 @@ func BenchmarkLoadCSRv2(b *testing.B) {
 	reportLoadMetrics(b, v2Path)
 }
 
-// BenchmarkStreamCSRv2Parallel streams the compressed form with the block
-// decode fanned out over GOMAXPROCS workers.
-func BenchmarkStreamCSRv2Parallel(b *testing.B) {
+// BenchmarkStreamCSRv2 streams the compressed form through StreamFile,
+// the sequential block decode that streamed ingress runs.
+func BenchmarkStreamCSRv2(b *testing.B) {
 	benchFiles(b)
 	v2Path := filepath.Join(benchDir, "g.v2.csrg")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := os.Open(v2Path)
+		total, _, err := StreamFile(v2Path, 0, func(int64, []Edge) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
-		var total int64
-		if total, _, err = StreamCSRParallel(v2Path, f, 0, 0, func(int64, []Edge) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-		f.Close()
 		if total != benchEdges {
 			b.Fatalf("streamed %d edges", total)
 		}
@@ -206,7 +202,7 @@ func TestCSRLoadSpeedupAt1MEdges(t *testing.T) {
 	if err := SaveEdgeList(g, textPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCSR(g, csrPath); err != nil {
+	if err := SaveCSRVersion(g, csrPath, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 

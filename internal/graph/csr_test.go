@@ -24,10 +24,16 @@ func testGraph(t *testing.T) *Graph {
 func writeCSRBytes(t *testing.T, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSR(g, &buf); err != nil {
+	if err := WriteCSRVersion(g, &buf, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// decodeCSRBytes runs the whole-file decoder over an in-memory file, the
+// way the portable LoadCSR path does, with v2 blocks on four workers.
+func decodeCSRBytes(data []byte) (*Graph, error) {
+	return decodeCSRData("test", data, nil, 4)
 }
 
 func assertSameGraph(t *testing.T, want, got *Graph) {
@@ -58,7 +64,7 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 
 func TestCSRRoundTrip(t *testing.T) {
 	g := testGraph(t)
-	got, err := ReadCSR(bytes.NewReader(writeCSRBytes(t, g)))
+	got, err := decodeCSRBytes(writeCSRBytes(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestCSRRoundTrip(t *testing.T) {
 
 func TestCSRRoundTripEmptyGraph(t *testing.T) {
 	g := FromEdges("empty", nil)
-	got, err := ReadCSR(bytes.NewReader(writeCSRBytes(t, g)))
+	got, err := decodeCSRBytes(writeCSRBytes(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestCSRRoundTripEmptyGraph(t *testing.T) {
 func TestCSRFileRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	path := filepath.Join(t.TempDir(), "g.csrg")
-	if err := SaveCSR(g, path); err != nil {
+	if err := SaveCSRVersion(g, path, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadCSR(path)
@@ -145,7 +151,7 @@ func TestCSRCorruptionDetection(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(append([]byte(nil), data...))
-			_, err := ReadCSR(bytes.NewReader(buf))
+			_, err := decodeCSRBytes(buf)
 			if err == nil {
 				t.Fatal("corrupt file accepted")
 			}
@@ -163,7 +169,7 @@ func TestCSRWriterStreamsWithoutMaterializing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewCSRWriter(f, g.Name)
+	w, err := NewCSRWriterVersion(f, g.Name, CSRVersion1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +205,7 @@ func TestStreamCSRMatchesEdgeOrder(t *testing.T) {
 	g := testGraph(t)
 	data := writeCSRBytes(t, g)
 	var streamed []Edge
-	total, maxID, err := StreamCSR("t", bytes.NewReader(data), 3, func(offset int64, edges []Edge) error {
+	total, maxID, err := streamCSR("t", bytes.NewReader(data), 3, func(offset int64, edges []Edge) error {
 		if int(offset) != len(streamed) {
 			t.Errorf("batch offset %d, want %d", offset, len(streamed))
 		}
@@ -221,12 +227,12 @@ func TestStreamCSRDetectsTruncationAndCorruption(t *testing.T) {
 	g := testGraph(t)
 	data := writeCSRBytes(t, g)
 
-	if _, _, err := StreamCSR("t", bytes.NewReader(data[:len(data)-2]), 0, func(int64, []Edge) error { return nil }); err == nil {
+	if _, _, err := streamCSR("t", bytes.NewReader(data[:len(data)-2]), 0, func(int64, []Edge) error { return nil }); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)-6] ^= 1 // inside the CSR sections
-	if _, _, err := StreamCSR("t", bytes.NewReader(flipped), 0, func(int64, []Edge) error { return nil }); err == nil ||
+	if _, _, err := streamCSR("t", bytes.NewReader(flipped), 0, func(int64, []Edge) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corrupted stream: got %v, want checksum error", err)
 	}
@@ -243,7 +249,7 @@ func TestLoadFileSniffsFormat(t *testing.T) {
 	if err := SaveEdgeList(g, textPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCSR(g, binPath); err != nil {
+	if err := SaveCSRVersion(g, binPath, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,12 +1,10 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -31,12 +29,16 @@ import (
 //
 // and the whole section by a uint32 block count. Deltas reset at block
 // boundaries, so every block decodes with no context beyond its header —
-// which is what lets LoadCSR and StreamCSRParallel fan the decode out over
-// GOMAXPROCS workers while preserving stream order.
+// which is what lets LoadCSR fan a whole file's blocks out over GOMAXPROCS
+// workers. The streamed decoder (streamCSR) takes them one at a time: it
+// feeds ingress that already keeps every core busy, where a second decode
+// worker measured slower end to end.
 
 // csrV2BlockEdges is the number of edges per compressed block. 64Ki edges
-// ≈ 128–512 KiB decoded — big enough to amortize per-block overhead, small
-// enough that a round of GOMAXPROCS blocks fits comfortably in memory.
+// ≈ 512 KiB decoded — big enough to amortize per-block overhead, small
+// enough that the streamed decoder's one block buffer stays modest. Writers
+// cut every block but the last at exactly this size; readers reject larger
+// ones.
 const csrV2BlockEdges = 1 << 16
 
 // csrV2MaxBytesPerEdge bounds a block's declared byte length relative to
@@ -98,70 +100,71 @@ func decodeV2Block(src string, payload []byte, numVertices uint64, base int64, b
 	return nil
 }
 
-// WriteCSR2 writes g in .csrg version-2 form: delta+varint-compressed edge
-// blocks, no adjacency sections (readers rebuild them lazily). The edge
-// section preserves g.Edges order exactly.
-func WriteCSR2(g *Graph, w io.Writer) error {
-	m := g.NumEdges()
-	if m > csrMaxEdges {
-		return fmt.Errorf("csrg %s: %d edges exceed the int32 edge-id space", g.Name, m)
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := writeCSRHeader(bw, g.Name, CSRVersion2, 0, uint64(g.NumVertices()), uint64(m)); err != nil {
-		return err
-	}
-	numBlocks := (m + csrV2BlockEdges - 1) / csrV2BlockEdges
+// writeV2Payload writes the block count (outside the checksum, see the
+// format doc) and then edges cut into blocks of csrV2BlockEdges.
+func writeV2Payload(edges []Edge, cw *crcWriter) error {
 	var quad [4]byte
-	binary.LittleEndian.PutUint32(quad[:], uint32(numBlocks))
-	if _, err := bw.Write(quad[:]); err != nil {
-		return err
-	}
-	crc := uint32(0)
-	sink := func(chunk []byte) error {
-		crc = crc32.Update(crc, castagnoli, chunk)
-		_, err := bw.Write(chunk)
+	binary.LittleEndian.PutUint32(quad[:], uint32((len(edges)+csrV2BlockEdges-1)/csrV2BlockEdges))
+	if _, err := cw.w.Write(quad[:]); err != nil {
 		return err
 	}
 	var enc []byte
-	for lo := 0; lo < m; lo += csrV2BlockEdges {
-		hi := lo + csrV2BlockEdges
-		if hi > m {
-			hi = m
-		}
-		enc = appendV2Block(enc[:0], g.Edges[lo:hi])
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(hi-lo))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(enc)))
-		if err := sink(hdr[:]); err != nil {
-			return err
-		}
-		if err := sink(enc); err != nil {
+	for lo := 0; lo < len(edges); lo += csrV2BlockEdges {
+		var err error
+		if enc, err = cw.writeV2Block(enc, edges[lo:min(lo+csrV2BlockEdges, len(edges))]); err != nil {
 			return err
 		}
 	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc)
-	if _, err := bw.Write(foot[:]); err != nil {
-		return err
+	return nil
+}
+
+// writeV2Block compresses edges as one block — the edgeCount/byteLen header,
+// then the payload — and writes it through the checksum. Both v2 writers
+// emit every block here, so their bytes cannot diverge. enc is scratch
+// space; the grown slice is returned for reuse.
+func (c *crcWriter) writeV2Block(enc []byte, edges []Edge) ([]byte, error) {
+	enc = appendV2Block(append(enc[:0], 0, 0, 0, 0, 0, 0, 0, 0), edges)
+	binary.LittleEndian.PutUint32(enc[0:4], uint32(len(edges)))
+	binary.LittleEndian.PutUint32(enc[4:8], uint32(len(enc)-8))
+	return enc, c.write(enc)
+}
+
+// parseV2BlockHeader decodes one block header and validates it before
+// anything trusts it; both v2 decoders go through this one check. The edge
+// count may exceed neither csrV2BlockEdges nor the edges the file header
+// has left, and the byte length must lie between the
+// shortest (two 1-byte varints) and the longest (csrV2MaxBytesPerEdge)
+// encoding of that many edges. Together the bounds cap what a lying header
+// can make a decoder allocate.
+func parseV2BlockHeader(src string, hdr []byte, bidx int, remaining, numEdges int64) (cnt, bl int, err error) {
+	c := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	b := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+	switch {
+	case c > remaining:
+		return 0, 0, fmt.Errorf("csrg %s: block %d declares %d edges but only %d of the header's %d remain", src, bidx, c, remaining, numEdges)
+	case c > csrV2BlockEdges:
+		return 0, 0, fmt.Errorf("csrg %s: block %d declares %d edges, more than the %d a block holds", src, bidx, c, csrV2BlockEdges)
+	case b > (c+1)*csrV2MaxBytesPerEdge:
+		return 0, 0, fmt.Errorf("csrg %s: block %d declares %d bytes for %d edges (max %d/edge)", src, bidx, b, c, csrV2MaxBytesPerEdge)
+	case b < 2*c:
+		return 0, 0, fmt.Errorf("csrg %s: block %d declares %d bytes for %d edges (min 2/edge)", src, bidx, b, c)
 	}
-	return bw.Flush()
+	return int(c), int(b), nil
 }
 
 // decodeCSRv2 decodes a whole in-memory v2 file: verify the checksum, index
 // the blocks (every structural field is validated before any decode trusts
-// it), then decode independent blocks on parallel workers straight into
-// their slots of the shared edge slice.
-func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions) (*Graph, error) {
+// it), then decode the blocks on up to workers goroutines straight into
+// their slots of the shared edge slice. One worker is the sequential case.
+func decodeCSRv2(src string, data []byte, off int, h csrHeader, workers int) (*Graph, error) {
 	if int64(len(data)) < int64(off)+8 {
 		return nil, fmt.Errorf("csrg %s: truncated v2 payload (%d bytes)", src, len(data))
 	}
 	payload := data[off : len(data)-4]
-	stored := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(payload[4:], castagnoli); got != stored {
-		return nil, fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", src, got, stored)
+	if err := checkCRC(src, crc32.Checksum(payload[4:], castagnoli), binary.LittleEndian.Uint32(data[len(data)-4:])); err != nil {
+		return nil, err
 	}
-	m := int(h.numEdges)
-	n := int(h.numVertices)
+	m := int64(h.numEdges)
 	numBlocks := int(binary.LittleEndian.Uint32(payload[0:4]))
 	if int64(numBlocks)*8 > int64(len(payload)-4) {
 		return nil, fmt.Errorf("csrg %s: %d blocks cannot fit in %d payload bytes", src, numBlocks, len(payload)-4)
@@ -179,12 +182,11 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions
 		if len(payload)-pos < 8 {
 			return nil, fmt.Errorf("csrg %s: truncated header of block %d at payload byte %d", src, bidx, pos)
 		}
-		cnt := int(binary.LittleEndian.Uint32(payload[pos:]))
-		bl := int(binary.LittleEndian.Uint32(payload[pos+4:]))
-		pos += 8
-		if int64(cnt) > int64(m)-base {
-			return nil, fmt.Errorf("csrg %s: block %d declares %d edges but only %d of the header's %d remain", src, bidx, cnt, int64(m)-base, m)
+		cnt, bl, err := parseV2BlockHeader(src, payload[pos:pos+8], bidx, m-base, m)
+		if err != nil {
+			return nil, err
 		}
+		pos += 8
 		if bl > len(payload)-pos {
 			return nil, fmt.Errorf("csrg %s: block %d declares %d payload bytes but only %d remain", src, bidx, bl, len(payload)-pos)
 		}
@@ -195,225 +197,90 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions
 	if pos != len(payload) {
 		return nil, fmt.Errorf("csrg %s: %d trailing payload bytes after %d blocks", src, len(payload)-pos, numBlocks)
 	}
-	if base != int64(m) {
+	if base != m {
 		return nil, fmt.Errorf("csrg %s: blocks hold %d edges, header says %d", src, base, m)
-	}
-	if m == 0 && n != 0 {
-		return nil, fmt.Errorf("csrg %s: %d vertices with no edges (writers derive the vertex set from edges)", src, n)
 	}
 
 	edges := make([]Edge, m)
-	workers := o.Workers
-	if workers <= 0 {
-		//graphlint:nondet worker-count default only; output is worker-count-independent (csr_v2_test.go)
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	var maxID VertexID
-	if workers <= 1 {
-		for bidx, b := range blocks {
-			if err := decodeV2Block(src, b.data, h.numVertices, b.base, bidx, edges[b.base:b.base+int64(b.count)], &maxID); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var next atomic.Int64
-		maxIDs := make([]VertexID, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					bidx := int(next.Add(1)) - 1
-					if bidx >= len(blocks) {
-						return
-					}
-					b := blocks[bidx]
-					if err := decodeV2Block(src, b.data, h.numVertices, b.base, bidx, edges[b.base:b.base+int64(b.count)], &maxIDs[w]); err != nil {
-						errs[w] = err
-						return
-					}
+	workers = min(workers, len(blocks))
+	var next atomic.Int64
+	maxIDs := make([]VertexID, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				bidx := int(next.Add(1)) - 1
+				if bidx >= len(blocks) {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		for w := range errs {
-			if errs[w] != nil {
-				return nil, errs[w]
+				b := blocks[bidx]
+				if err := decodeV2Block(src, b.data, h.numVertices, b.base, bidx, edges[b.base:b.base+int64(b.count)], &maxIDs[w]); err != nil {
+					errs[w] = err
+					return
+				}
 			}
-			if maxIDs[w] > maxID {
-				maxID = maxIDs[w]
-			}
+		}()
+	}
+	wg.Wait()
+	var maxID VertexID
+	for w := range errs {
+		if errs[w] != nil {
+			return nil, errs[w]
 		}
+		maxID = max(maxID, maxIDs[w])
 	}
-	if m > 0 && int64(maxID)+1 != int64(n) {
-		return nil, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", src, n, maxID)
+	if err := checkVertexCount(src, m, maxID, h.numVertices); err != nil {
+		return nil, err
 	}
-	g := &Graph{Name: h.name, Edges: edges, numVertices: n}
+	g := &Graph{Name: h.name, Edges: edges, numVertices: int(h.numVertices)}
 	g.buildDegrees()
 	return g, nil
 }
 
-// streamCSRv2 is the v2 tail of StreamCSR/StreamCSRParallel: br is
-// positioned just past the header. Blocks are read sequentially (the CRC
-// must see every byte in file order) and decoded either inline or on a
-// round of workers; fn sees batches in stream order from this goroutine.
-func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize, workers int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
-	if workers <= 0 {
-		//graphlint:nondet worker-count default only; output is worker-count-independent (csr_v2_test.go)
-		workers = runtime.GOMAXPROCS(0)
+// v2Edges decodes the block section sequentially: each block is read
+// through the checksum into one reused payload buffer, decoded into one
+// reused block of edges and emitted, so memory stays O(block) and the
+// steady state allocates nothing per block.
+func (s *csrStream) v2Edges() error {
+	quad := s.scratch[:4]
+	if _, err := io.ReadFull(s.br, quad); err != nil { // outside the CRC
+		return fmt.Errorf("csrg %s: reading block count: %w", s.name, err)
 	}
-	var quad [4]byte
-	if _, err := io.ReadFull(br, quad[:]); err != nil {
-		return 0, 0, fmt.Errorf("csrg %s: reading block count: %w", name, err)
-	}
-	numBlocks := int(binary.LittleEndian.Uint32(quad[:]))
-	m := int64(h.numEdges)
-	crc := uint32(0)
-	var total int64 // edges delivered to fn
-	var read int64  // edges read off the wire (≥ total under read-ahead)
-	var maxID VertexID
-
-	// emit chops a decoded block into ≤batchSize batches for fn.
-	emit := func(edges []Edge) error {
-		for len(edges) > 0 {
-			n := len(edges)
-			if n > batchSize {
-				n = batchSize
-			}
-			if err := fn(total, edges[:n]); err != nil {
-				return err
-			}
-			total += int64(n)
-			edges = edges[n:]
+	numBlocks := int(binary.LittleEndian.Uint32(quad))
+	m := int64(s.h.numEdges)
+	payp := getByteBuf(0)
+	defer putByteBuf(payp)
+	blockp := getEdgeBuf(csrV2BlockEdges)
+	defer putEdgeBuf(blockp)
+	for bidx := 0; bidx < numBlocks; bidx++ {
+		hdr := s.scratch[:]
+		if err := s.fill(hdr); err != nil {
+			return fmt.Errorf("csrg %s: truncated header of block %d (edge %d of %d): %w", s.name, bidx, s.total, m, err)
 		}
-		return nil
-	}
-
-	// readBlock pulls the next block header + payload off the wire into a
-	// pooled buffer, updating the CRC, and validates the structural fields.
-	readBlock := func(bidx int) (cnt int, payload *[]byte, err error) {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return 0, nil, fmt.Errorf("csrg %s: truncated header of block %d (edge %d of %d): %w", name, bidx, read, m, err)
+		cnt, bl, err := parseV2BlockHeader(s.name, hdr, bidx, m-s.total, m)
+		if err != nil {
+			return err
 		}
-		crc = crc32.Update(crc, castagnoli, hdr[:])
-		cnt = int(binary.LittleEndian.Uint32(hdr[0:4]))
-		bl := int(binary.LittleEndian.Uint32(hdr[4:8]))
-		if int64(cnt) > m-read {
-			return 0, nil, fmt.Errorf("csrg %s: block %d declares %d edges but only %d of the header's %d remain", name, bidx, cnt, m-read, m)
+		if cap(*payp) < bl {
+			*payp = make([]byte, 0, bl)
 		}
-		if bl > (cnt+1)*csrV2MaxBytesPerEdge {
-			return 0, nil, fmt.Errorf("csrg %s: block %d declares %d bytes for %d edges (max %d/edge)", name, bidx, bl, cnt, csrV2MaxBytesPerEdge)
+		payload := (*payp)[:bl]
+		if err := s.fill(payload); err != nil {
+			return fmt.Errorf("csrg %s: truncated payload of block %d (edge %d of %d): %w", s.name, bidx, s.total, m, err)
 		}
-		payload = getByteBuf(bl)
-		buf := (*payload)[:bl]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			putByteBuf(payload)
-			return 0, nil, fmt.Errorf("csrg %s: truncated payload of block %d (edge %d of %d): %w", name, bidx, read, m, err)
+		out := (*blockp)[:cnt] // cnt ≤ csrV2BlockEdges, checked above
+		if err := decodeV2Block(s.name, payload, s.h.numVertices, s.total, bidx, out, &s.maxID); err != nil {
+			return err
 		}
-		crc = crc32.Update(crc, castagnoli, buf)
-		*payload = buf
-		read += int64(cnt)
-		return cnt, payload, nil
-	}
-
-	if workers <= 1 {
-		blockp := getEdgeBuf(csrV2BlockEdges)
-		defer putEdgeBuf(blockp)
-		for bidx := 0; bidx < numBlocks; bidx++ {
-			cnt, payload, err := readBlock(bidx)
-			if err != nil {
-				return total, maxID, err
-			}
-			if cap(*blockp) < cnt {
-				*blockp = make([]Edge, 0, cnt)
-			}
-			out := (*blockp)[:cnt]
-			err = decodeV2Block(name, *payload, h.numVertices, total, bidx, out, &maxID)
-			putByteBuf(payload)
-			if err != nil {
-				return total, maxID, err
-			}
-			if err := emit(out); err != nil {
-				return total, maxID, err
-			}
-		}
-	} else {
-		// Read ahead a round of blocks, decode the round in parallel, then
-		// deliver in order. Memory stays O(workers · block).
-		type job struct {
-			bidx    int
-			base    int64
-			payload *[]byte
-			out     *[]Edge
-			err     error
-		}
-		jobs := make([]job, 0, workers)
-		maxIDs := make([]VertexID, workers)
-		for bidx := 0; bidx < numBlocks; {
-			jobs = jobs[:0]
-			for len(jobs) < workers && bidx < numBlocks {
-				base := read
-				cnt, payload, err := readBlock(bidx)
-				if err != nil {
-					for _, j := range jobs {
-						putByteBuf(j.payload)
-						putEdgeBuf(j.out)
-					}
-					return total, maxID, err
-				}
-				out := getEdgeBuf(cnt)
-				*out = (*out)[:cnt]
-				jobs = append(jobs, job{bidx: bidx, base: base, payload: payload, out: out})
-				bidx++
-			}
-			var wg sync.WaitGroup
-			for i := range jobs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					j := &jobs[i]
-					j.err = decodeV2Block(name, *j.payload, h.numVertices, j.base, j.bidx, *j.out, &maxIDs[i])
-				}(i)
-			}
-			wg.Wait()
-			for i := range jobs {
-				j := &jobs[i]
-				putByteBuf(j.payload)
-				if j.err == nil {
-					if maxIDs[i] > maxID {
-						maxID = maxIDs[i]
-					}
-					j.err = emit(*j.out)
-				}
-				putEdgeBuf(j.out)
-				if j.err != nil {
-					for _, rest := range jobs[i+1:] {
-						putByteBuf(rest.payload)
-						putEdgeBuf(rest.out)
-					}
-					return total, maxID, j.err
-				}
-			}
+		if err := s.emit(out); err != nil {
+			return err
 		}
 	}
-	if read != m {
-		return total, maxID, fmt.Errorf("csrg %s: blocks hold %d edges, header says %d", name, read, m)
+	if s.total != m {
+		return fmt.Errorf("csrg %s: blocks hold %d edges, header says %d", s.name, s.total, m)
 	}
-	var foot [4]byte
-	if _, err := io.ReadFull(br, foot[:]); err != nil {
-		return total, maxID, fmt.Errorf("csrg %s: missing checksum footer: %w", name, err)
-	}
-	if stored := binary.LittleEndian.Uint32(foot[:]); stored != crc {
-		return total, maxID, fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", name, crc, stored)
-	}
-	if total > 0 && int64(maxID)+1 != int64(h.numVertices) {
-		return total, maxID, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", name, h.numVertices, maxID)
-	}
-	return total, maxID, nil
+	return nil
 }

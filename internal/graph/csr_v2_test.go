@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func blockGraph(t testing.TB, numEdges int) *Graph {
 func writeCSR2Bytes(t *testing.T, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSR2(g, &buf); err != nil {
+	if err := WriteCSRVersion(g, &buf, CSRVersion2); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -63,7 +64,7 @@ func TestCSRv2RoundTrip(t *testing.T) {
 				g = blockGraph(t, numEdges)
 			}
 			data := writeCSR2Bytes(t, g)
-			got, err := ReadCSR(bytes.NewReader(data))
+			got, err := decodeCSRBytes(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,21 +90,22 @@ func TestCSRv2FileRoundTripAllPaths(t *testing.T) {
 	if v, ok, err := CSRFileVersion(path); err != nil || !ok || v != CSRVersion2 {
 		t.Fatalf("CSRFileVersion = (%d, %v, %v), want (2, true, nil)", v, ok, err)
 	}
-	for _, tc := range []struct {
-		name string
-		opts CSRLoadOptions
-	}{
-		{"auto", CSRLoadOptions{}},
-		{"portable", CSRLoadOptions{DisableMmap: true}},
-		{"serial", CSRLoadOptions{Workers: 1}},
-		{"parallel", CSRLoadOptions{Workers: 4}},
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func() (*Graph, error){
+		"auto":     func() (*Graph, error) { return LoadCSR(path) },
+		"portable": func() (*Graph, error) { return LoadCSRWith(path, CSRLoadOptions{DisableMmap: true}) },
+		"serial":   func() (*Graph, error) { return decodeCSRData(path, data, nil, 1) },
+		"parallel": func() (*Graph, error) { return decodeCSRData(path, data, nil, 4) },
 	} {
-		got, err := LoadCSRWith(path, tc.opts)
+		got, err := load()
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got.Edges, g.Edges) || got.NumVertices() != g.NumVertices() {
-			t.Errorf("%s: loaded graph differs", tc.name)
+			t.Errorf("%s: loaded graph differs", name)
 		}
 	}
 }
@@ -189,39 +191,40 @@ func TestCSRWriterV2StreamsAndReloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bulk, onDisk) {
-		t.Error("bulk WriteCSR2 and streaming CSRWriter produce different bytes")
+		t.Error("bulk WriteCSRVersion and streaming CSRWriter produce different v2 bytes")
 	}
 }
 
 func TestStreamCSRv2MatchesEdgeOrder(t *testing.T) {
 	g := blockGraph(t, csrV2BlockEdges+999)
 	data := writeCSR2Bytes(t, g)
-	for _, workers := range []int{1, 3, 8} {
-		for _, batchSize := range []int{1000, csrV2BlockEdges, 1 << 20} {
-			var streamed []Edge
-			total, maxID, err := StreamCSRParallel("t", bytes.NewReader(data), batchSize, workers, func(offset int64, edges []Edge) error {
-				if int(offset) != len(streamed) {
-					t.Errorf("w=%d b=%d: batch offset %d, want %d", workers, batchSize, offset, len(streamed))
-				}
-				streamed = append(streamed, edges...)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("w=%d b=%d: %v", workers, batchSize, err)
+	for _, batchSize := range []int{1000, csrV2BlockEdges, 1 << 20} {
+		var streamed []Edge
+		total, maxID, err := streamCSR("t", bytes.NewReader(data), batchSize, func(offset int64, edges []Edge) error {
+			if int(offset) != len(streamed) {
+				t.Errorf("b=%d: batch offset %d, want %d", batchSize, offset, len(streamed))
 			}
-			if total != int64(len(g.Edges)) || int(maxID) != g.NumVertices()-1 {
-				t.Errorf("w=%d b=%d: totals (%d, %d), want (%d, %d)", workers, batchSize, total, maxID, len(g.Edges), g.NumVertices()-1)
+			if len(edges) > batchSize {
+				t.Errorf("b=%d: batch of %d edges", batchSize, len(edges))
 			}
-			if !reflect.DeepEqual(streamed, g.Edges) {
-				t.Errorf("w=%d b=%d: streamed edges differ from original order", workers, batchSize)
-			}
+			streamed = append(streamed, edges...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("b=%d: %v", batchSize, err)
+		}
+		if total != int64(len(g.Edges)) || int(maxID) != g.NumVertices()-1 {
+			t.Errorf("b=%d: totals (%d, %d), want (%d, %d)", batchSize, total, maxID, len(g.Edges), g.NumVertices()-1)
+		}
+		if !reflect.DeepEqual(streamed, g.Edges) {
+			t.Errorf("b=%d: streamed edges differ from original order", batchSize)
 		}
 	}
 }
 
 // TestCSRv2CorruptionDetection is the v2 corruption matrix: every mutation
 // must surface as a named error — never a panic, never silent acceptance —
-// through the bulk loader, the mmap loader, and both streaming decoders.
+// through the mmap loader, the portable loader and the streamed decoder.
 // Mutations below the checksum line call refixV2CRC so the structural
 // validation itself is what trips.
 func TestCSRv2CorruptionDetection(t *testing.T) {
@@ -235,8 +238,8 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 		mutate  func([]byte) []byte
 		wantErr string
 	}{
-		// Truncations surface as "truncated block" from the streaming
-		// decoders and as a checksum mismatch from the bulk loaders (the
+		// Truncations surface as "truncated block" from the streamed
+		// decoder and as a checksum mismatch from the bulk loaders (the
 		// cut shifts the CRC window); both are named rejections, so these
 		// two cases only pin that *some* error comes back.
 		{"truncated block payload", func(b []byte) []byte {
@@ -312,12 +315,8 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 					_, err := LoadCSRWith(path, CSRLoadOptions{DisableMmap: true})
 					return err
 				},
-				"StreamCSR": func() error {
-					_, _, err := StreamCSR("corrupt", bytes.NewReader(buf), 512, func(int64, []Edge) error { return nil })
-					return err
-				},
-				"StreamCSRParallel": func() error {
-					_, _, err := StreamCSRParallel("corrupt", bytes.NewReader(buf), 512, 4, func(int64, []Edge) error { return nil })
+				"streamCSR": func() error {
+					_, _, err := streamCSR("corrupt", bytes.NewReader(buf), 512, func(int64, []Edge) error { return nil })
 					return err
 				},
 			}
@@ -343,7 +342,7 @@ func TestLoadCSRMmapMatchesPortable(t *testing.T) {
 	dir := t.TempDir()
 
 	withCSR := filepath.Join(dir, "with-csr.csrg")
-	if err := SaveCSR(g, withCSR); err != nil {
+	if err := SaveCSRVersion(g, withCSR, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 	streamed := filepath.Join(dir, "streamed.csrg")
@@ -351,7 +350,7 @@ func TestLoadCSRMmapMatchesPortable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewCSRWriter(f, g.Name)
+	w, err := NewCSRWriterVersion(f, g.Name, CSRVersion1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +377,7 @@ func TestLoadCSRMmapMatchesPortable(t *testing.T) {
 		if portable.mmap != nil {
 			t.Errorf("%s: portable load pinned a mapping", path)
 		}
-		if MmapSupported() && mapped.mmap == nil {
+		if mmapSupported() && mapped.mmap == nil {
 			t.Errorf("%s: mmap-capable platform did not engage the zero-copy path", path)
 		}
 	}
@@ -444,14 +443,94 @@ func TestUnknownVersionRejectedEverywhere(t *testing.T) {
 		"LoadFile":   func() error { _, err := LoadFile(path); return err },
 		"LoadCSR":    func() error { _, err := LoadCSR(path); return err },
 		"StreamFile": func() error { _, _, err := StreamFile(path, 0, func(int64, []Edge) error { return nil }); return err },
-		"StreamCSR": func() error {
-			_, _, err := StreamCSR(path, bytes.NewReader(data), 0, func(int64, []Edge) error { return nil })
+		"streamCSR": func() error {
+			_, _, err := streamCSR(path, bytes.NewReader(data), 0, func(int64, []Edge) error { return nil })
 			return err
 		},
 	} {
 		err := load()
 		if err == nil || !strings.Contains(err.Error(), "unsupported format version 7") {
 			t.Errorf("%s: got %v, want unsupported-version error naming version 7", how, err)
+		}
+	}
+}
+
+// TestStreamFileAllocsDoNotGrowWithBlocks pins the read path of streamed
+// ingress: a StreamFile call allocates a fixed setup cost (file handles,
+// the read buffer, pooled batch and block buffers) and nothing per batch or
+// block. A GC may empty the pools at any point, so rather than pin an
+// absolute count the test compares a 1-block file with a 21-block file of
+// the same version. v1 "blocks" are batches of the stream's batch size.
+func TestStreamFileAllocsDoNotGrowWithBlocks(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		version, blockEdges, batchSize int
+	}{
+		{CSRVersion1, 1024, 1024},
+		{CSRVersion2, csrV2BlockEdges, 4096},
+	} {
+		allocs := func(blocks int) float64 {
+			path := filepath.Join(dir, fmt.Sprintf("v%d-%d.csrg", tc.version, blocks))
+			if err := SaveCSRVersion(blockGraph(t, blocks*tc.blockEdges), path, tc.version); err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, _, err := StreamFile(path, tc.batchSize, func(int64, []Edge) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, many := allocs(1), allocs(21)
+		if many > one+2 {
+			t.Errorf("v%d: StreamFile makes %v allocations on a 21-block file but %v on a 1-block file", tc.version, many, one)
+		}
+	}
+}
+
+// TestCSRv2LyingBlockHeadersAllocateLittle: block headers are validated
+// before either decoder sizes a buffer from them, so a small file whose
+// block headers claim billions of edges (or bytes) is rejected by name
+// without allocating anything like what it claims.
+func TestCSRv2LyingBlockHeadersAllocateLittle(t *testing.T) {
+	file := func(numEdges uint64, blocks [][2]uint32) []byte {
+		var buf bytes.Buffer
+		hl, err := writeCSRHeader(&buf, "liar", CSRVersion2, 0, 1, numEdges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := binary.LittleEndian.AppendUint32(buf.Bytes(), uint32(len(blocks)))
+		for _, blk := range blocks {
+			b = binary.LittleEndian.AppendUint32(b, blk[0])
+			b = binary.LittleEndian.AppendUint32(b, blk[1])
+		}
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[hl+4:], castagnoli))
+	}
+	emptyBlocks := make([][2]uint32, 1<<14)
+	for i := range emptyBlocks {
+		emptyBlocks[i] = [2]uint32{csrV2BlockEdges, 0}
+	}
+	for name, data := range map[string][]byte{
+		"one block of 2^31-1 edges in 4 GiB": file(csrMaxEdges, [][2]uint32{{csrMaxEdges, 1<<32 - 1}}),
+		"one block of 2^31-1 edges in 0 B":   file(csrMaxEdges, [][2]uint32{{csrMaxEdges, 0}}),
+		"16Ki full blocks of no bytes":       file(uint64(len(emptyBlocks))*csrV2BlockEdges, emptyBlocks),
+	} {
+		for how, decode := range map[string]func() error{
+			"whole file": func() error { _, err := decodeCSRBytes(data); return err },
+			"stream": func() error {
+				_, _, err := streamCSR("liar", bytes.NewReader(data), 0, func(int64, []Edge) error { return nil })
+				return err
+			},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := decode()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), ": block 0 declares") {
+				t.Errorf("%s, %s: got %v, want a named block-header rejection", name, how, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+				t.Errorf("%s, %s: allocated %d bytes before rejecting a %d-byte file", name, how, grew, len(data))
+			}
 		}
 	}
 }

@@ -30,20 +30,12 @@ func edgesView(b []byte) []Edge {
 	return unsafe.Slice((*Edge)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-// u32View reinterprets b as []uint32.
-func u32View(b []byte) []uint32 {
+// view32 reinterprets b as a slice of 32-bit values (the index, adjacency
+// and edge-id sections).
+func view32[T int32 | uint32](b []byte) []T {
 	if !hostLittleEndian || len(b) < 4 ||
-		uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(uint32(0)) != 0 {
+		uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(T(0)) != 0 {
 		return nil
 	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// i32View reinterprets b as []int32.
-func i32View(b []byte) []int32 {
-	if !hostLittleEndian || len(b) < 4 ||
-		uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(int32(0)) != 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/4)
 }

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"hash"
+	"hash/crc32"
 	"hash/fnv"
 	"strings"
 	"testing"
@@ -84,6 +86,32 @@ func addCSRSeeds(f *testing.F) {
 		}
 		return b
 	})
+	// v2 only: the block re-encoded with overlong varints under a fresh
+	// checksum. Every value decodes unchanged, but the block is longer than
+	// csrV2MaxBytesPerEdge per edge allows; both decoders must reject it.
+	mutate(v2, overlongV2)
+}
+
+// overlongV2 rewrites a one-block v2 file with every varint padded to
+// binary.MaxVarintLen64 bytes (non-minimal but decodable) and re-checksums
+// it.
+func overlongV2(b []byte) []byte {
+	hl := csrHeaderFixed + int(binary.LittleEndian.Uint32(b[24:28]))
+	block0 := hl + 4
+	var long []byte
+	for pos := block0 + 8; pos < len(b)-4; {
+		u, n := binary.Uvarint(b[pos:])
+		pos += n
+		for i := 0; i < binary.MaxVarintLen64-1; i++ {
+			long = append(long, byte(u)|0x80)
+			u >>= 7
+		}
+		long = append(long, byte(u))
+	}
+	out := append([]byte(nil), b[:block0+4]...) // header, block count, edge count
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(long)))
+	out = append(out, long...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[hl+4:], castagnoli))
 }
 
 // checkNamedErr asserts a loader rejection is a named error, never a bare
@@ -114,12 +142,12 @@ func checkGraphInvariants(t *testing.T, g *Graph) {
 	}
 }
 
-// FuzzReadCSR: the bulk loader must reject arbitrary bytes with a named
-// csrg error or return a structurally valid graph — and never panic.
+// FuzzReadCSR: the whole-file decoder must reject arbitrary bytes with a
+// named csrg error or return a structurally valid graph — and never panic.
 func FuzzReadCSR(f *testing.F) {
 	addCSRSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadCSR(bytes.NewReader(data))
+		g, err := decodeCSRBytes(data)
 		if err != nil {
 			checkNamedErr(t, err, "csrg")
 			return
@@ -128,42 +156,57 @@ func FuzzReadCSR(f *testing.F) {
 	})
 }
 
-// FuzzStreamCSR: the sequential and parallel streaming decoders must agree
-// bit for bit — same accept/reject decision, same edge count, same max id,
-// same edge sequence — on arbitrary bytes, across both format versions.
+// FuzzStreamCSR: the streamed decoder against the whole-file decoder on the
+// same bytes. Whenever the whole-file decoder accepts, the stream must
+// accept too and deliver the same edge sequence, edge count and max id,
+// in offset order; every rejection by either must be a named csrg error.
+// The converse need not hold: the stream does not re-validate v1 adjacency
+// sections and stops reading at the checksum footer.
 func FuzzStreamCSR(f *testing.F) {
 	addCSRSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		stream := func(workers int) (int64, VertexID, uint64, error) {
-			h := fnv.New64a()
-			var buf [8]byte
-			total, maxID, err := StreamCSRParallel("fuzz", bytes.NewReader(data), 7, workers, func(offset int64, edges []Edge) error {
-				for _, e := range edges {
-					binary.LittleEndian.PutUint32(buf[0:4], uint32(e.Src))
-					binary.LittleEndian.PutUint32(buf[4:8], uint32(e.Dst))
-					h.Write(buf[:])
-				}
-				return nil
-			})
-			return total, maxID, h.Sum64(), err
-		}
-		seqN, seqMax, seqHash, seqErr := stream(1)
-		parN, parMax, parHash, parErr := stream(4)
-		if seqErr != nil {
-			checkNamedErr(t, seqErr, "csrg")
-			if parErr == nil {
-				t.Fatalf("sequential decoder rejected (%v) but parallel accepted", seqErr)
+		h := fnv.New64a()
+		var delivered int64
+		total, maxID, err := streamCSR("fuzz", bytes.NewReader(data), 7, func(offset int64, edges []Edge) error {
+			if offset != delivered {
+				t.Fatalf("batch offset %d, want %d", offset, delivered)
 			}
+			delivered += int64(len(edges))
+			hashEdges(h, edges)
+			return nil
+		})
+		if err != nil {
+			checkNamedErr(t, err, "csrg")
+		}
+		g, gerr := decodeCSRBytes(data)
+		if gerr != nil {
+			checkNamedErr(t, gerr, "csrg")
 			return
 		}
-		if parErr != nil {
-			t.Fatalf("sequential decoder accepted but parallel rejected: %v", parErr)
+		if err != nil {
+			t.Fatalf("whole-file decoder accepted but the stream rejected: %v", err)
 		}
-		if seqN != parN || seqMax != parMax || seqHash != parHash {
-			t.Fatalf("decoders disagree: sequential (%d edges, max %d, hash %#x) vs parallel (%d, %d, %#x)",
-				seqN, seqMax, seqHash, parN, parMax, parHash)
+		want := fnv.New64a()
+		hashEdges(want, g.Edges)
+		wantMax := VertexID(0)
+		if len(g.Edges) > 0 {
+			wantMax = VertexID(g.NumVertices() - 1)
+		}
+		if total != int64(len(g.Edges)) || maxID != wantMax || h.Sum64() != want.Sum64() {
+			t.Fatalf("decoders disagree: stream (%d edges, max %d, hash %#x) vs whole file (%d, %d, %#x)",
+				total, maxID, h.Sum64(), len(g.Edges), wantMax, want.Sum64())
 		}
 	})
+}
+
+// hashEdges folds an edge sequence into h.
+func hashEdges(h hash.Hash64, edges []Edge) {
+	var buf [8]byte
+	for _, e := range edges {
+		binary.LittleEndian.PutUint32(buf[0:4], e.Src)
+		binary.LittleEndian.PutUint32(buf[4:8], e.Dst)
+		h.Write(buf[:])
+	}
 }
 
 // FuzzParseEdgeList: the text parser (ReadEdgeList and its streaming core)
