@@ -6,8 +6,7 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation. Shape assertions (who wins, directions
-// of correlations) live in internal/bench's TestGoldenTableRenders;
-// benchmarks only measure.
+// of correlations) live in shape_test.go; benchmarks only measure.
 package main
 
 import (

@@ -5,80 +5,45 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 // updateGolden regenerates testdata/golden/*.txt from the current renders.
 var updateGolden = flag.Bool("update", false, "rewrite golden experiment renders")
 
-// slowExperiments are the table reproductions that dominate the suite's
-// wall-clock (multi-second engine simulations). They are gated behind the
-// full run so that `go test -short` keeps the other experiments and
-// finishes in well under 20s.
-var slowExperiments = map[string]bool{
-	"fig5.3":     true, // strategy×app engine sweep (shared by 5.3–5.5)
-	"fig5.4":     true, // same sweep, compute-time axis
-	"fig5.5":     true, // same sweep, peak-memory axis
-	"fig8.4":     true, // utilization box plots over every app
-	"fig5.9":     true, // compute/ingress break-even sweep
-	"tab5.1":     true, // Grid-vs-HDRF across every cluster shape
-	"adv.regret": true, // uk-web engine sweeps feeding the advisor fit
-	"dyn.drift":  true, // 9 churn traces over uk-web plus one-shot baselines
+// goldenSlow mirrors the root shape_test gating: the multi-second engine
+// sweeps are only byte-checked in full (non -short) runs.
+var goldenSlow = map[string]bool{
+	"fig5.3":     true,
+	"fig5.4":     true,
+	"fig5.5":     true,
+	"fig8.4":     true,
+	"fig5.9":     true,
+	"tab5.1":     true,
+	"adv.regret": true,
+	"dyn.drift":  true,
 }
 
-// allowedMisses maps experiment id → substrings of failed checks' observed
-// evidence (or claims) that are allowed to fail: documented deviations. The
-// single one is fig8.4's K-core utilization-correlation branch (see
-// EXPERIMENTS.md).
-var allowedMisses = map[string][]string{
-	"fig8.4": {"K-Core: utilization-vs-compute"},
-}
-
-// TestGoldenTableRenders runs every experiment once and holds the result to
-// two contracts:
-//
-//   - shape: the experiment emits typed cells and a non-empty table, its
-//     render names it, and it reproduces the paper's qualitative claims —
-//     every structured Check passes, except the allowedMisses.
-//   - golden: the plain-text render matches testdata/golden byte for byte.
-//     The paper reproduction is the plain render, and this is the proof a
-//     refactor left it untouched.
+// TestGoldenTableRenders pins every experiment's plain-text table render
+// byte-for-byte. The refactor from stringified rows to typed cell emission
+// must not change a single rendered byte: the paper reproduction is the
+// plain render, and this is the proof it is untouched.
 func TestGoldenTableRenders(t *testing.T) {
 	cfg := DefaultConfig()
-	exps := All()
-	if len(exps) < 23 {
-		t.Fatalf("only %d experiments registered; the paper has 23 reproduced artifacts", len(exps))
-	}
-	for _, e := range exps {
+	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && slowExperiments[e.ID] {
+			if testing.Short() && goldenSlow[e.ID] {
 				t.Skipf("%s takes multiple seconds; run without -short", e.ID)
 			}
 			res, err := e.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			if len(res.Cells) == 0 {
-				t.Fatalf("%s: no typed cells emitted", e.ID)
-			}
-			if len(res.Table().Rows) == 0 {
-				t.Fatalf("%s: empty table", e.ID)
-			}
 			var buf bytes.Buffer
 			if err := res.Render(&buf); err != nil {
 				t.Fatalf("%s: render: %v", e.ID, err)
 			}
-			if !strings.Contains(buf.String(), e.ID) {
-				t.Errorf("%s: rendered output missing experiment id", e.ID)
-			}
-			for _, c := range res.Checks {
-				if !c.Pass && !allowedMiss(e.ID, c.Claim, c.Observed) {
-					t.Errorf("%s: shape missed: %s", e.ID, c.Observed)
-				}
-			}
-
 			path := filepath.Join("testdata", "golden", e.ID+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -99,15 +64,4 @@ func TestGoldenTableRenders(t *testing.T) {
 			}
 		})
 	}
-}
-
-// allowedMiss reports whether a failed check of experiment id is one of its
-// documented deviations.
-func allowedMiss(id, claim, observed string) bool {
-	for _, pat := range allowedMisses[id] {
-		if strings.Contains(observed, pat) || strings.Contains(claim, pat) {
-			return true
-		}
-	}
-	return false
 }
